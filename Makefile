@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet race chaos bench bench-parallel bench-core bench-shards bench-alloc pfreport cpistack spans
+.PHONY: check build test vet race chaos bench bench-parallel bench-core bench-alloc pfreport cpistack spans
 
 # The full gate used before committing: vet, build, race-enabled tests
 # (including the scaled-down parallel-harness sweep; see harness_test.go),
@@ -75,20 +75,10 @@ bench-parallel:
 # CI smoke run; the default gives stable ratios on an idle machine.
 BENCHTIME ?= 3x
 bench-core:
-	$(GO) test -bench='CoreRun|CoreSkipSpeedup|CoreShardSpeedup' -benchmem -run=^$$ -benchtime=$(BENCHTIME) . > bench_core.tmp
+	$(GO) test -bench='CoreRun|CoreSkipSpeedup' -benchmem -run=^$$ -benchtime=$(BENCHTIME) . > bench_core.tmp
 	$(GO) run ./cmd/benchjson < bench_core.tmp > BENCH_core.json
 	@rm bench_core.tmp
 	@echo wrote BENCH_core.json
-
-# Sharded-stepping smoke: just the core-sharding benchmarks (serial vs
-# 4-shard rate and the paired speedup), archived as BENCH_shards.json.
-# On a many-core host the speedup metric is the headline; on a
-# scarce-CPU host it records the barrier overhead trajectory instead.
-bench-shards:
-	$(GO) test -bench='CoreRunSharded|CoreShardSpeedup' -benchmem -run=^$$ -benchtime=$(BENCHTIME) . > bench_shards.tmp
-	$(GO) run ./cmd/benchjson < bench_shards.tmp > BENCH_shards.json
-	@rm bench_shards.tmp
-	@echo wrote BENCH_shards.json
 
 # GC-pressure gate, archived as BENCH_alloc.json: allocs/op, bytes/op
 # and cycles/s per workload with observability attached and detached.

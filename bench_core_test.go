@@ -1,7 +1,6 @@
 package mtprefetch_test
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -85,87 +84,6 @@ func BenchmarkCoreRun(b *testing.B) {
 		name := s.Name
 		b.Run(name+"/skip", func(b *testing.B) { benchCoreRun(b, name, false) })
 		b.Run(name+"/noskip", func(b *testing.B) { benchCoreRun(b, name, true) })
-	}
-}
-
-// benchCoreRunSharded times complete simulations at a fixed core-shard
-// count, reporting simulation throughput and the shard count itself as a
-// `shards` metric so BENCH_core.json rows are self-describing. Output is
-// byte-identical to serial stepping (shard_test.go proves it), so this
-// benchmark is purely about the wall-clock trajectory of the sharded
-// barrier on the host it runs on.
-func benchCoreRunSharded(b *testing.B, name string, shards int) {
-	spec := coreBenchSpec(b, name)
-	b.ReportAllocs()
-	var cycles uint64
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		sim, err := core.New(core.Options{Workload: spec, Shards: shards})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += res.Cycles
-	}
-	elapsed := time.Since(start).Seconds()
-	if elapsed > 0 {
-		b.ReportMetric(float64(cycles)/elapsed, "cycles/s")
-	}
-	b.ReportMetric(float64(shards), "shards")
-}
-
-// BenchmarkCoreRunSharded records the sharded-stepping rate at shard
-// counts 1 and 4 for two memory-intensive benchmarks. Subnames use /sN
-// (no trailing dash) so benchjson's GOMAXPROCS-suffix stripping leaves
-// them intact.
-func BenchmarkCoreRunSharded(b *testing.B) {
-	for _, name := range []string{"mersenne", "stream"} {
-		for _, shards := range []int{1, 4} {
-			name, shards := name, shards
-			b.Run(fmt.Sprintf("%s/s%d", name, shards), func(b *testing.B) {
-				benchCoreRunSharded(b, name, shards)
-			})
-		}
-	}
-}
-
-// BenchmarkCoreShardSpeedup reports the paired serial-vs-4-shard
-// wall-clock ratio per benchmark, mirroring BenchmarkCoreSkipSpeedup.
-// On a many-core host this is the headline sharding win; on a scarce-CPU
-// host it records the barrier overhead instead — either way the
-// trajectory lands in BENCH_core.json.
-func BenchmarkCoreShardSpeedup(b *testing.B) {
-	for _, name := range []string{"mersenne", "stream"} {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			spec := coreBenchSpec(b, name)
-			var tSerial, tSharded time.Duration
-			for i := 0; i < b.N; i++ {
-				for _, shards := range []int{1, 4} {
-					runtime.GC() // settle: keep one leg's garbage off the other's clock
-					start := time.Now()
-					sim, err := core.New(core.Options{Workload: spec, Shards: shards})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := sim.Run(); err != nil {
-						b.Fatal(err)
-					}
-					if shards == 1 {
-						tSerial += time.Since(start)
-					} else {
-						tSharded += time.Since(start)
-					}
-				}
-			}
-			if tSharded > 0 {
-				b.ReportMetric(float64(tSerial)/float64(tSharded), "speedup")
-			}
-			b.ReportMetric(4, "shards")
-		})
 	}
 }
 

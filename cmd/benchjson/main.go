@@ -18,10 +18,7 @@
 // benchmark results (PASS, ok, warnings) are ignored.
 //
 // The document records the host parallelism (`gomaxprocs`, `num_cpu`)
-// alongside the results, and any result whose `shards` metric exceeds
-// the available CPUs gets a `note` saying so — a 4-shard "speedup" on a
-// 1-CPU container measures barrier overhead, not parallel scaling, and
-// the annotation keeps trajectory tooling from misreading it.
+// alongside the results.
 //
 // With -budget FILE, the file is parsed as JSON mapping benchmark name
 // to the maximum allowed allocs/op; after writing the document, any
@@ -54,9 +51,6 @@ type result struct {
 	// per-bucket stall percentages form one nested object instead of
 	// being scattered through Metrics.
 	CPIStack map[string]float64 `json:"cpi_stack,omitempty"`
-	// Note flags results that need interpretation context (e.g. shard
-	// speedups measured with fewer CPUs than shards).
-	Note string `json:"note,omitempty"`
 }
 
 // output is the whole document.
@@ -66,26 +60,10 @@ type output struct {
 	Pkg    string `json:"pkg,omitempty"`
 	CPU    string `json:"cpu,omitempty"`
 	// GOMAXPROCS and NumCPU describe the host the benchmarks ran on;
-	// comparisons like shard speedups are meaningless without them.
+	// wall-clock comparisons across hosts are meaningless without them.
 	GOMAXPROCS int      `json:"gomaxprocs"`
 	NumCPU     int      `json:"num_cpu"`
 	Results    []result `json:"results"`
-}
-
-// annotateShardResults marks every result whose `shards` metric exceeds
-// the CPUs actually available: its wall-clock comparison measures
-// barrier overhead, not parallel scaling.
-func annotateShardResults(out *output) {
-	cpus := out.GOMAXPROCS
-	if out.NumCPU < cpus {
-		cpus = out.NumCPU
-	}
-	for i := range out.Results {
-		if s, ok := out.Results[i].Metrics["shards"]; ok && int(s) > cpus {
-			out.Results[i].Note = fmt.Sprintf(
-				"shards (%d) exceed available CPUs (%d); wall-clock ratios measure barrier overhead, not parallel scaling", int(s), cpus)
-		}
-	}
 }
 
 // checkBudget compares each result's allocs/op against the committed
@@ -199,7 +177,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	annotateShardResults(&out)
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(out); err != nil {

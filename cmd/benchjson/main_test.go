@@ -58,49 +58,25 @@ func TestParseLineCPIStack(t *testing.T) {
 	}
 }
 
-func TestParseLineShardNames(t *testing.T) {
-	// Sharded-benchmark subnames end in /sN; the GOMAXPROCS stripper must
-	// remove only the trailing "-8", never the shard suffix itself.
-	r, ok := parseLine("BenchmarkCoreRunSharded/stream/s4-8 \t       3\t   5424559 ns/op\t  41442619 cycles/s\t         4.00 shards\t 2878517 B/op\t   33989 allocs/op")
+func TestParseLineSuffixStripping(t *testing.T) {
+	// Names may end in a digit of their own (J4); the GOMAXPROCS stripper
+	// must remove only the trailing "-8", never the name's own digits.
+	r, ok := parseLine("BenchmarkFig17SweepJ4-8 \t       1\t 5424559000 ns/op\t 2878517 B/op\t   33989 allocs/op")
 	if !ok {
 		t.Fatal("line did not parse")
 	}
-	if r.Name != "BenchmarkCoreRunSharded/stream/s4" {
-		t.Errorf("name = %q, want the /s4 shard suffix kept and only -8 stripped", r.Name)
-	}
-	if r.Metrics["shards"] != 4 {
-		t.Errorf("shards metric = %v, want 4", r.Metrics["shards"])
-	}
-	if r.Metrics["cycles/s"] != 41442619 {
-		t.Errorf("cycles/s = %v", r.Metrics["cycles/s"])
+	if r.Name != "BenchmarkFig17SweepJ4" {
+		t.Errorf("name = %q, want the J4 suffix kept and only -8 stripped", r.Name)
 	}
 
 	// A dash-free name (go test run with GOMAXPROCS unreported) must
 	// survive untouched even though it ends in a digit.
-	r, ok = parseLine("BenchmarkCoreRunSharded/mersenne/s1 \t       5\t   3424559 ns/op\t         1.00 shards")
+	r, ok = parseLine("BenchmarkFig16SweepJ1 \t       1\t 3424559000 ns/op")
 	if !ok {
 		t.Fatal("suffix-free line did not parse")
 	}
-	if r.Name != "BenchmarkCoreRunSharded/mersenne/s1" {
+	if r.Name != "BenchmarkFig16SweepJ1" {
 		t.Errorf("name = %q, want it untouched", r.Name)
-	}
-}
-
-func TestParseLineShardsWithCPIStack(t *testing.T) {
-	// The shards metric must coexist with cpi%<bucket> grouping: buckets
-	// still land in cpi_stack, shards and cycles/s in the flat map.
-	r, ok := parseLine("BenchmarkCoreRun/cell/skip-8 \t       3\t   3424559 ns/op\t  61442619 cycles/s\t         4.00 shards\t        52.10 cpi%issued\t        31.40 cpi%scoreboard")
-	if !ok {
-		t.Fatal("line did not parse")
-	}
-	if r.CPIStack["issued"] != 52.10 || r.CPIStack["scoreboard"] != 31.40 {
-		t.Errorf("cpi_stack = %v", r.CPIStack)
-	}
-	if _, leaked := r.Metrics["cpi%issued"]; leaked {
-		t.Error("cpi%issued leaked into the flat metrics map")
-	}
-	if r.Metrics["shards"] != 4 || r.Metrics["cycles/s"] != 61442619 {
-		t.Errorf("metrics = %v", r.Metrics)
 	}
 }
 

@@ -15,10 +15,6 @@
 //	-j N            run up to N simulations concurrently per experiment
 //	                (default GOMAXPROCS; -j 1 is strictly sequential, and any
 //	                setting produces byte-identical tables)
-//	-shards N       step each simulation's cores in N parallel shards
-//	                (default 1 = serial; any setting produces byte-identical
-//	                output — CI enforces it). The worker pool is budgeted so
-//	                that workers x shards stays within GOMAXPROCS.
 //	-csv DIR        additionally write each table as <DIR>/<exp>-<n>.csv
 //	-metrics FILE   write per-epoch time series as JSONL (one line per run per epoch)
 //	-trace FILE     write a Chrome trace-event JSON (load in Perfetto / chrome://tracing)
@@ -34,7 +30,7 @@
 //	                trace additionally carries one flow arc per sampled fill
 //	-span-every N   span sampling divisor: one in N eligible requests is
 //	                sampled (default 32); sampling is deterministic and
-//	                independent of -j, -shards, and -noskip
+//	                independent of -j and -noskip
 //	-http ADDR      serve live sweep introspection on ADDR (e.g. :6060):
 //	                "/" per-run progress JSON, "/metrics" Prometheus text,
 //	                "/healthz" run-state JSON, "/tolerance" live per-core
@@ -91,7 +87,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: mtpref [-waves N] [-full] [-j N] [-shards N] [-csv DIR] [-metrics FILE] [-trace FILE] [-pfreport FILE] [-cpistack FILE] [-spans FILE] [-span-every N] [-http ADDR] [-http-snapshots N] [-sample N] [-crashdir DIR] [-noskip] [-store DIR] [-run-timeout D] [-retries N] [-cpuprofile FILE] [-memprofile FILE] {list | run <id>... | all}\n")
+	fmt.Fprintf(os.Stderr, "usage: mtpref [-waves N] [-full] [-j N] [-csv DIR] [-metrics FILE] [-trace FILE] [-pfreport FILE] [-cpistack FILE] [-spans FILE] [-span-every N] [-http ADDR] [-http-snapshots N] [-sample N] [-crashdir DIR] [-noskip] [-store DIR] [-run-timeout D] [-retries N] [-cpuprofile FILE] [-memprofile FILE] {list | run <id>... | all}\n")
 	os.Exit(2)
 }
 
@@ -157,7 +153,6 @@ func startProfiles(cpuPath, memPath string) {
 type cliFlags struct {
 	waves       int
 	workers     int
-	shards      int
 	full        bool
 	csvDir      string
 	metricsPath string
@@ -184,7 +179,6 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 	c := &cliFlags{}
 	fs.IntVar(&c.waves, "waves", 2, "occupancy waves per core when scaling benchmarks")
 	fs.IntVar(&c.workers, "j", runtime.GOMAXPROCS(0), "concurrent simulations per experiment (1 = sequential)")
-	fs.IntVar(&c.shards, "shards", 1, "core shards per simulation (1 = serial core stepping; output is byte-identical at any value)")
 	fs.BoolVar(&c.full, "full", false, "run sensitivity sweeps on the full suite")
 	fs.StringVar(&c.csvDir, "csv", "", "directory to write per-table CSV files into")
 	fs.StringVar(&c.metricsPath, "metrics", "", "JSONL file for per-epoch metric samples")
@@ -272,7 +266,7 @@ func main() {
 
 	subset := !cli.full
 	cfg := harness.Config{Waves: cli.waves, Subset: &subset, Workers: cli.workers,
-		Shards: cli.shards, CrashDir: cli.crashDir, NoCycleSkip: cli.noSkip,
+		CrashDir: cli.crashDir, NoCycleSkip: cli.noSkip,
 		RunTimeout: cli.runTimeout, Retries: cli.retries}
 	startProfiles(cli.cpuProfile, cli.memProfile)
 

@@ -84,24 +84,12 @@ type EventSource interface {
 // tests use to simulate transient environmental failures (a flaky run
 // that heals on retry returns simerr.Transient errors for its first N
 // executions, then nil forever). RunFault is polled once per visited
-// cycle on the serial phase; the first non-nil error aborts the run
+// cycle, after the cores step; the first non-nil error aborts the run
 // immediately. An injector whose fault must fire at a specific cycle
 // should also report that cycle from NextEvent so event-driven skipping
 // visits it.
 type RunFaulter interface {
 	RunFault(cycle uint64) error
-}
-
-// ShardAware is the optional marker a FaultInjector implements to
-// declare StallCore safe for concurrent calls from the sharded
-// core-stepping phase — a pure function of the cycle and core id, or
-// otherwise free of unsynchronized mutation. (OnResponse needs no such
-// promise: response delivery always runs on the serial phase of the
-// cycle.) An injector that does not implement ShardAware forces
-// Options.Shards down to 1 for the run — always correct, just serial —
-// mirroring how a non-EventSource injector disables cycle skipping.
-type ShardAware interface {
-	ShardAware()
 }
 
 // checkProgress is the watchdog: called every watchWindow cycles, it

@@ -87,17 +87,6 @@ type Options struct {
 	// for those tests, for benchmarking the machinery itself, and as an
 	// escape hatch while debugging NextEvent implementations.
 	NoCycleSkip bool
-	// Shards partitions the cores into this many contiguous groups that
-	// step concurrently between the machine-wide synchronization points
-	// of each visited cycle (see shard.go). 0 or 1 keeps the fully serial
-	// loop; values above the core count are clamped to it; negative
-	// values are rejected. Results and every observability stream are
-	// byte-identical at any shard count — the differential tests in
-	// shard_test.go enforce it — so the setting only trades wall clock
-	// for host cores. A fault injector that does not implement ShardAware
-	// forces serial stepping, like a non-EventSource injector disables
-	// cycle skipping.
-	Shards int
 	// Inject, when non-nil, perturbs the run for chaos testing; see
 	// FaultInjector. An injector that does not also implement EventSource
 	// disables cycle skipping for the run.
@@ -207,13 +196,6 @@ type Simulator struct {
 	injEvts EventSource // non-nil when the injector is skip-aware
 	skipped uint64      // cycles never visited
 
-	// Intra-run core sharding (see shard.go).
-	shards     int             // effective shard count (1: serial stepping)
-	shardPool  *shardPool      // non-nil once Run starts with shards > 1
-	corePools  []*memreq.Pool  // per-core free-lists when sharded (else nil)
-	pfShards   []*obs.PFReport // per-core attribution shards when sharded (else nil)
-	spanShards []*obs.SpanSet  // per-core span shards when sharded (else nil)
-
 	reg     *obs.Registry // always non-nil; end-of-run aggregation reads it
 	sampler *obs.Sampler  // nil unless Options.Obs enabled sampling
 	pfrep   *obs.PFReport // nil unless Options.Obs enabled attribution
@@ -287,10 +269,6 @@ func New(o Options) (*Simulator, error) {
 		return nil, &OptionError{Field: "CheckEvery",
 			Reason: "set without Checks; invariant sweeps are opt-in"}
 	}
-	if o.Shards < 0 {
-		return nil, &OptionError{Field: "Shards",
-			Reason: fmt.Sprintf("is negative (%d); use 0 or 1 for serial stepping", o.Shards)}
-	}
 	if o.Checks && o.CheckEvery == 0 {
 		o.CheckEvery = defaultCheckEvery
 	}
@@ -342,38 +320,12 @@ func New(o Options) (*Simulator, error) {
 		}
 	}
 	s.ctx = o.Ctx
-	s.shards = o.Shards
-	if s.shards < 2 {
-		s.shards = 1
-	}
-	if s.shards > cfg.NumCores {
-		s.shards = cfg.NumCores
-	}
-	if o.Inject != nil {
-		// StallCore is called from inside the stepping phase, so an
-		// injector must promise shard-safety or the run stays serial.
-		if _, ok := o.Inject.(ShardAware); !ok {
-			s.shards = 1
-		}
-	}
-	if s.shards > 1 {
-		// Each core issues from a private free-list so concurrent shards
-		// never share one; the serial response phase recycles into the
-		// originating core's pool (putResponse). DRAM gets no pool —
-		// nothing would ever drain the writebacks it retires into one.
-		s.corePools = make([]*memreq.Pool, cfg.NumCores)
-		for i := range s.corePools {
-			s.corePools[i] = memreq.NewPool()
-			s.corePools[i].Prime(cfg.MRQSize)
-		}
-	} else {
-		// The pool's high-water mark is the machine's in-flight request
-		// capacity — every core's MRQ full at once — so priming to it
-		// replaces the warm-up's one-allocation-per-live-request ramp
-		// with a single arena.
-		s.pool.Prime(cfg.NumCores * cfg.MRQSize)
-		s.mem.SetPool(s.pool)
-	}
+	// The pool's high-water mark is the machine's in-flight request
+	// capacity — every core's MRQ full at once — so priming to it
+	// replaces the warm-up's one-allocation-per-live-request ramp with a
+	// single arena.
+	s.pool.Prime(cfg.NumCores * cfg.MRQSize)
+	s.mem.SetPool(s.pool)
 	if !o.NoWatchdog {
 		s.watchWindow = o.WatchdogWindow
 		if s.watchWindow == 0 {
@@ -415,7 +367,7 @@ func New(o Options) (*Simulator, error) {
 			Throttle:   eng,
 			Filter:     filter,
 			PerfectMem: o.PerfectMemory,
-			Pool:       s.corePool(i),
+			Pool:       s.pool,
 		})
 		if err != nil {
 			return nil, err
@@ -441,30 +393,13 @@ func New(o Options) (*Simulator, error) {
 	}
 	s.reg = reg
 	s.tracer = tracer
-	if s.pfrep != nil && s.shards > 1 {
-		// Attribution is recorded from inside the stepping phase, so each
-		// core gets a private shard; collect merges them into s.pfrep.
-		s.pfShards = make([]*obs.PFReport, len(s.cores))
-		for i := range s.pfShards {
-			s.pfShards[i] = obs.NewPFReport()
-		}
-	}
-	if s.spans != nil && s.shards > 1 {
-		// Span starts and MRQ-level terminals are recorded from inside the
-		// stepping phase, so each core gets a private shard sharing the
-		// run's sampling divisor; collect merges them in core order.
-		s.spanShards = make([]*obs.SpanSet, len(s.cores))
-		for i := range s.spanShards {
-			s.spanShards[i] = s.spans.NewShard()
-		}
-	}
 	for i, c := range s.cores {
 		// Cycle accounting attaches before Observe so the per-bucket
 		// registry counters are registered.
 		c.AttachCPI(s.cpi.Core(i))
 		c.Observe(reg, tracer)
-		c.AttachPFReport(s.corePF(i))
-		c.AttachSpans(s.coreSpans(i))
+		c.AttachPFReport(s.pfrep)
+		c.AttachSpans(s.spans)
 	}
 	s.mem.Register(reg, obs.Labels{Core: obs.CoreGlobal, Component: "dram"})
 	s.net.Register(reg, obs.Labels{Core: obs.CoreGlobal, Component: "noc"})
@@ -472,43 +407,6 @@ func New(o Options) (*Simulator, error) {
 		func() uint64 { return s.skipped })
 	s.sampler.Define(DefaultSeries()...)
 	return s, nil
-}
-
-// corePool returns the free-list core i issues from: the shared pool in
-// serial runs, the core's private pool under sharding.
-func (s *Simulator) corePool(i int) *memreq.Pool {
-	if s.corePools != nil {
-		return s.corePools[i]
-	}
-	return s.pool
-}
-
-// corePF returns the attribution report core i records into: the run's
-// report directly in serial runs, the core's private shard otherwise.
-func (s *Simulator) corePF(i int) *obs.PFReport {
-	if s.pfShards != nil {
-		return s.pfShards[i]
-	}
-	return s.pfrep
-}
-
-// coreSpans returns the span set core i records into: the run's set
-// directly in serial runs, the core's private shard otherwise.
-func (s *Simulator) coreSpans(i int) *obs.SpanSet {
-	if s.spanShards != nil {
-		return s.spanShards[i]
-	}
-	return s.spans
-}
-
-// putResponse recycles one delivered response into the pool its core
-// issues from, so per-core free-lists stay balanced under sharding.
-func (s *Simulator) putResponse(r *memreq.Request) {
-	if s.corePools != nil {
-		s.corePools[r.CoreID].Put(r)
-		return
-	}
-	s.pool.Put(r)
 }
 
 // SkippedCycles reports how many cycles event-driven skipping never
@@ -527,13 +425,6 @@ func (s *Simulator) SkippedCycles() uint64 { return s.skipped }
 // byte-identical with skipping on or off; Options.NoCycleSkip and the
 // differential tests in skip_test.go exist to keep that true.
 func (s *Simulator) Run() (*Result, error) {
-	if s.shards > 1 && s.shardPool == nil {
-		s.shardPool = newShardPool(s, s.shards)
-		s.shardPool.start()
-		// Clearing the pool keeps Run restartable: the workers exit on
-		// shutdown, so a retained pool would hang a later call's barrier.
-		defer func() { s.shardPool.shutdown(); s.shardPool = nil }()
-	}
 	var respBuf, reqBuf []*memreq.Request
 	for ; s.cycle < s.opts.MaxCycles; s.cycle++ {
 		cyc := s.cycle
@@ -549,10 +440,10 @@ func (s *Simulator) Run() (*Result, error) {
 					// Deliberately leaked: the MRQ still tracks r, so it
 					// must not be recycled. A sampled span still terminates
 					// here so conservation holds under fault injection.
-					s.coreSpans(r.CoreID).Finish(r, cyc, memreq.TermDropped)
+					s.spans.Finish(r, cyc, memreq.TermDropped)
 					continue
 				case DropCompletion:
-					s.coreSpans(r.CoreID).Finish(r, cyc, memreq.TermDropped)
+					s.spans.Finish(r, cyc, memreq.TermDropped)
 					s.cores[r.CoreID].DropFill(r)
 					continue
 				}
@@ -561,7 +452,7 @@ func (s *Simulator) Run() (*Result, error) {
 			s.fills++
 			// Each response object is delivered exactly once and nothing
 			// retains it past Fill, so its lifecycle ends here.
-			s.putResponse(r)
+			s.pool.Put(r)
 		}
 
 		// 2. Requests reach the DRAM controllers (with backpressure):
@@ -583,23 +474,16 @@ func (s *Simulator) Run() (*Result, error) {
 			s.net.InjectResponse(cyc, r)
 		}
 
-		// 4. Cores issue — serially, or sharded across the worker pool
-		// with a barrier before phase 5 (shard.go; byte-identical).
-		if s.shardPool != nil {
-			if err := s.stepSharded(cyc); err != nil {
-				return nil, err
+		// 4. Cores issue.
+		for _, c := range s.cores {
+			if s.inj != nil && s.inj.StallCore(cyc, c.ID()) {
+				// The suppressed cycle still gets a bucket (throttled) so
+				// cycle-accounting conservation holds under fault injection.
+				c.AccountExternalStall(1)
+				continue
 			}
-		} else {
-			for _, c := range s.cores {
-				if s.inj != nil && s.inj.StallCore(cyc, c.ID()) {
-					// The suppressed cycle still gets a bucket (throttled) so
-					// cycle-accounting conservation holds under fault injection.
-					c.AccountExternalStall(1)
-					continue
-				}
-				if err := c.Cycle(cyc); err != nil {
-					return nil, err
-				}
+			if err := c.Cycle(cyc); err != nil {
+				return nil, err
 			}
 		}
 
@@ -839,11 +723,11 @@ func (s *Simulator) checkCPIConservation(executed uint64) error {
 	return nil
 }
 
-// checkSpanConservation verifies (Options.Checks only), after collect has
-// folded the per-core shards, that every sampled request reached exactly
-// one terminal and every recorded span was well-formed. drained marks a
-// fully drained machine, where started must equal finished; both Run
-// exits require done(), so they always pass true.
+// checkSpanConservation verifies (Options.Checks only), after collect,
+// that every sampled request reached exactly one terminal and every
+// recorded span was well-formed. drained marks a fully drained machine,
+// where started must equal finished; both Run exits require done(), so
+// they always pass true.
 func (s *Simulator) checkSpanConservation(cycle uint64, drained bool) error {
 	if s.spans == nil || !s.opts.Checks {
 		return nil
@@ -879,20 +763,7 @@ func (s *Simulator) collect() *Result {
 		for _, c := range s.cores {
 			c.PFCache.DrainUnused()
 		}
-		// Sharded runs recorded into per-core shards; fold them into the
-		// run's report in core order (the order is invisible: counters
-		// are additive and the outputs sort their keys).
-		for _, sh := range s.pfShards {
-			s.pfrep.MergeFrom(sh)
-		}
 		s.pfrep.SetDemandTransactions(s.reg.Sum("smcore.demand_transactions"))
-	}
-	if s.spans != nil {
-		// Fold per-core span shards in core order; the order is invisible
-		// because records sort by ID and histograms are additive.
-		for _, sh := range s.spanShards {
-			s.spans.MergeFrom(sh)
-		}
 	}
 	reg := s.reg
 	r := &Result{Benchmark: s.spec.Name, Cycles: s.cycle}

@@ -13,95 +13,131 @@ import (
 
 // This file holds the differential equivalence tests for event-driven
 // cycle skipping: every supported configuration must produce a Result
-// and an epoch-sample stream byte-identical to a run that visits every
+// and observability streams byte-identical to a run that visits every
 // cycle. This is the contract that lets skipping be on by default.
 
-// runDiff executes o with skipping enabled and disabled and returns
-// (skip result, full result, skip JSONL, full JSONL, cycles skipped).
-func runDiff(t *testing.T, o Options) (*Result, *Result, []byte, []byte, uint64) {
+// runStreams executes o with the full observability bundle — epoch
+// sampler, event tracer, prefetch attribution, CPI stacks, and request
+// spans when spans is set — and returns the Result, every output stream
+// keyed by name, and the number of cycles skipping never visited.
+// SpanEvery is set low so tiny workloads still sample densely enough to
+// exercise every lifecycle site.
+func runStreams(t *testing.T, o Options, noskip, spans bool) (*Result, map[string]string, uint64) {
 	t.Helper()
-	run := func(noskip bool) (*Result, []byte, uint64) {
-		oo := o
-		oo.NoCycleSkip = noskip
-		oo.Obs = obs.New(obs.Config{SampleEvery: 512})
-		s, err := New(oo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := oo.Obs.Sampler.WriteJSONL(&buf, map[string]string{"bench": res.Benchmark}); err != nil {
-			t.Fatal(err)
-		}
-		return res, buf.Bytes(), s.SkippedCycles()
+	oo := o
+	oo.NoCycleSkip = noskip
+	oo.Obs = obs.New(obs.Config{SampleEvery: 512, TraceCapacity: 1 << 14,
+		PFReport: true, CPIStack: true, CPIEpoch: 512,
+		Spans: spans, SpanEvery: 8})
+	s, err := New(oo)
+	if err != nil {
+		t.Fatal(err)
 	}
-	skip, skipJSON, skipped := run(false)
-	full, fullJSON, fullSkipped := run(true)
-	if fullSkipped != 0 {
-		t.Fatalf("NoCycleSkip run still skipped %d cycles", fullSkipped)
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return skip, full, skipJSON, fullJSON, skipped
+	streams := map[string]string{}
+	var buf bytes.Buffer
+	if err := oo.Obs.Sampler.WriteJSONL(&buf, map[string]string{"bench": res.Benchmark}); err != nil {
+		t.Fatal(err)
+	}
+	streams["epoch"] = buf.String()
+	buf.Reset()
+	if err := s.PFReport().WriteJSONL(&buf, "run"); err != nil {
+		t.Fatal(err)
+	}
+	streams["pfreport"] = buf.String()
+	buf.Reset()
+	if err := s.CPIStack().WriteJSONL(&buf, "run"); err != nil {
+		t.Fatal(err)
+	}
+	streams["cpistack"] = buf.String()
+	buf.Reset()
+	tw, err := obs.NewTraceWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.AddRun(1, "run", "core", oo.Obs.Tracer); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	streams["trace"] = buf.String()
+	if spans {
+		buf.Reset()
+		if err := s.Spans().WriteJSONL(&buf, "run"); err != nil {
+			t.Fatal(err)
+		}
+		streams["spans"] = buf.String()
+	}
+	return res, streams, s.SkippedCycles()
 }
 
-// assertIdentical is the shared comparison: identical Result structs and
-// identical epoch-sample streams.
-func assertIdentical(t *testing.T, name string, o Options) {
+// equivConfig is one named point of the Options space the differential
+// tests sweep.
+type equivConfig struct {
+	name string
+	opts Options
+}
+
+// equivConfigs spans the Options space: baseline, both software
+// transforms, every hardware prefetcher family with throttling and
+// filtering, perfect memory, and the invariant sweep — so the streams
+// cover both request kinds, the MRQ merge/reject paths, throttle-degree
+// and prefetch trace events, and every attribution outcome.
+func equivConfigs(t *testing.T) []equivConfig {
 	t.Helper()
-	skip, full, skipJSON, fullJSON, skipped := runDiff(t, o)
-	if !reflect.DeepEqual(skip, full) {
-		t.Errorf("%s: results diverge with cycle skipping\nskip: %+v\nfull: %+v", name, skip, full)
+	mthwp := func() prefetch.Prefetcher {
+		return prefetch.NewMTHWP(prefetch.MTHWPOptions{EnableGS: true, EnableIP: true})
 	}
-	if !bytes.Equal(skipJSON, fullJSON) {
-		t.Errorf("%s: epoch samples diverge with cycle skipping\nskip: %s\nfull: %s", name, skipJSON, fullJSON)
+	strideRPT := func() prefetch.Prefetcher {
+		return prefetch.NewStrideRPT(prefetch.StrideRPTOptions{WarpAware: true})
 	}
-	if skipped == 0 {
-		t.Logf("%s: note: no cycles were skippable", name)
+	return []equivConfig{
+		{"baseline", Options{Workload: tiny(t, "monte")}},
+		{"mtswp", Options{Workload: tiny(t, "mersenne"), Software: swpref.MTSWP}},
+		{"sw-stride", Options{Workload: tiny(t, "stream"), Software: swpref.Stride}},
+		{"swp-throttle", Options{Workload: tiny(t, "stream"), Software: swpref.Stride, Throttle: true}},
+		{"mthwp", Options{Workload: tiny(t, "conv"), Hardware: mthwp}},
+		{"mthwp-throttle", Options{Workload: tiny(t, "conv"), Throttle: true, Hardware: mthwp}},
+		{"stride-filter", Options{Workload: tiny(t, "monte"), PollutionFilter: true, Hardware: strideRPT}},
+		{"stride-filter-checks", Options{Workload: tiny(t, "mersenne"), PollutionFilter: true,
+			Checks: true, CheckEvery: 1000, Hardware: strideRPT}},
+		{"ghb-filter", Options{Workload: tiny(t, "mersenne"), PollutionFilter: true,
+			Hardware: func() prefetch.Prefetcher {
+				return prefetch.NewGHB(prefetch.GHBOptions{WarpAware: true})
+			}}},
+		{"perfect-memory", Options{Workload: tiny(t, "monte"), PerfectMemory: true}},
+		{"checks", Options{Workload: tiny(t, "stream"), Checks: true, CheckEvery: 1000}},
 	}
 }
 
-// TestSkipEquivalenceMatrix sweeps the Options space: baseline, both
-// software transforms, hardware prefetchers with throttling and
-// filtering, perfect memory, and the invariant sweep.
+// TestSkipEquivalenceMatrix runs every configuration with skipping on
+// and off, spans included, and requires the Result and all five streams
+// (epoch, pfreport, cpistack, trace, spans) to be byte-identical.
 func TestSkipEquivalenceMatrix(t *testing.T) {
-	cases := []struct {
-		name string
-		opts func(t *testing.T) Options
-	}{
-		{"baseline", func(t *testing.T) Options {
-			return Options{Workload: tiny(t, "monte")}
-		}},
-		{"mtswp", func(t *testing.T) Options {
-			return Options{Workload: tiny(t, "mersenne"), Software: swpref.MTSWP}
-		}},
-		{"swp-throttle", func(t *testing.T) Options {
-			return Options{Workload: tiny(t, "stream"), Software: swpref.Stride, Throttle: true}
-		}},
-		{"mthwp", func(t *testing.T) Options {
-			return Options{Workload: tiny(t, "conv"), Hardware: func() prefetch.Prefetcher {
-				return prefetch.NewMTHWP(prefetch.MTHWPOptions{EnableGS: true, EnableIP: true})
-			}}
-		}},
-		{"stride-filter", func(t *testing.T) Options {
-			return Options{Workload: tiny(t, "monte"), PollutionFilter: true,
-				Hardware: func() prefetch.Prefetcher {
-					return prefetch.NewStrideRPT(prefetch.StrideRPTOptions{WarpAware: true})
-				}}
-		}},
-		{"perfect-memory", func(t *testing.T) Options {
-			return Options{Workload: tiny(t, "monte"), PerfectMemory: true}
-		}},
-		{"checks", func(t *testing.T) Options {
-			return Options{Workload: tiny(t, "stream"), Checks: true, CheckEvery: 1000}
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range equivConfigs(t) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			assertIdentical(t, tc.name, tc.opts(t))
+			skip, skipStreams, skipped := runStreams(t, tc.opts, false, true)
+			full, fullStreams, fullSkipped := runStreams(t, tc.opts, true, true)
+			if fullSkipped != 0 {
+				t.Fatalf("NoCycleSkip run still skipped %d cycles", fullSkipped)
+			}
+			if !reflect.DeepEqual(skip, full) {
+				t.Errorf("results diverge with cycle skipping\nskip: %+v\nfull: %+v", skip, full)
+			}
+			for name, ref := range fullStreams {
+				if skipStreams[name] != ref {
+					t.Errorf("%s stream diverges with cycle skipping", name)
+				}
+			}
+			if skipped == 0 {
+				t.Logf("note: no cycles were skippable")
+			}
 		})
 	}
 }
@@ -110,8 +146,7 @@ func TestSkipEquivalenceMatrix(t *testing.T) {
 // degrading into a no-op: a memory-bound run must skip a substantial
 // share of its cycles.
 func TestSkipActuallySkips(t *testing.T) {
-	o := Options{Workload: tiny(t, "stream")}
-	skip, _, _, _, skipped := runDiff(t, o)
+	skip, _, skipped := runStreams(t, Options{Workload: tiny(t, "stream")}, false, false)
 	if skipped == 0 {
 		t.Fatal("memory-bound run skipped no cycles")
 	}

@@ -72,12 +72,6 @@ func DropNthCompletion(n uint64) *Injector {
 // would otherwise act — so the injector never needs a wakeup of its own.
 func (i *Injector) NextEvent(cycle uint64) uint64 { return ^uint64(0) }
 
-// ShardAware implements core.ShardAware: StallCore is a pure function of
-// construction-time fields, so concurrent calls from the sharded
-// core-stepping phase are safe. The mutating dials live in OnResponse,
-// which only runs on the serial response-delivery phase.
-func (i *Injector) ShardAware() {}
-
 // StallCore implements core.FaultInjector.
 func (i *Injector) StallCore(cycle uint64, coreID int) bool {
 	return i.StalledCore == coreID && cycle >= i.StallFrom

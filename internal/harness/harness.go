@@ -60,12 +60,6 @@ type Config struct {
 	// byte-identical either way; the CLI's -noskip flag and CI's
 	// differential gate rely on that.
 	NoCycleSkip bool
-	// Shards sets the intra-run core shard count for every simulation
-	// (core.Options.Shards; default 1 = serial core stepping). Results
-	// are byte-identical at any value. Shards multiply the threads one
-	// simulation uses, so the worker pool is budgeted down to keep
-	// workers x shards within GOMAXPROCS — see workers().
-	Shards int
 	// Debug, when non-nil, receives per-run progress and end-of-run
 	// registry snapshots for live introspection over HTTP (cmd/mtpref's
 	// -http flag); see NewDebugServer. It never affects results.
@@ -122,31 +116,11 @@ func (c Config) subset() bool {
 	return *c.Subset
 }
 
-func (c Config) shards() int {
-	if c.Shards <= 0 {
-		return 1
-	}
-	return c.Shards
-}
-
-// workers resolves the worker-pool size, budgeting it down when core
-// sharding is on: each simulation runs shards() goroutines of its own,
-// so the pool is capped at GOMAXPROCS/shards (floor 1) to keep the
-// total thread demand within GOMAXPROCS rather than oversubscribing.
 func (c Config) workers() int {
-	w := c.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	if c.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	if s := c.shards(); s > 1 {
-		if budget := runtime.GOMAXPROCS(0) / s; budget < w {
-			w = budget
-			if w < 1 {
-				w = 1
-			}
-		}
-	}
-	return w
+	return c.Workers
 }
 
 // Experiment is one regenerable table or figure.
@@ -364,7 +338,6 @@ func (r *runner) attempt(key string, o core.Options) (res *core.Result, ob *obs.
 	o.Ctx = ctx
 	o.Obs = r.c.Obs.Observer()
 	o.NoCycleSkip = r.c.NoCycleSkip
-	o.Shards = r.c.shards()
 	if o.Obs != nil {
 		// Live telemetry: CPIStack publishes epoch snapshots and SpanSet
 		// aggregates finished spans under their own mutexes, so

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -120,61 +119,5 @@ func TestWorkersDefault(t *testing.T) {
 	c.Workers = 3
 	if c.workers() != 3 {
 		t.Errorf("workers = %d, want 3", c.workers())
-	}
-}
-
-func TestShardWorkerBudget(t *testing.T) {
-	// workers x shards must never exceed GOMAXPROCS (floor of one
-	// worker): -j 8 -shards 4 on an 8-way host runs 2 workers, not 8.
-	// Pin GOMAXPROCS so the arithmetic is host-independent; not parallel,
-	// since GOMAXPROCS is process-global.
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-	cases := []struct {
-		workers, shards, want int
-	}{
-		{8, 4, 2},  // budgeted down: 2 workers x 4 shards = 8
-		{8, 1, 8},  // shards=1: no budgeting
-		{8, 0, 8},  // unset shards: no budgeting
-		{1, 4, 1},  // already within budget
-		{2, 16, 1}, // budget rounds to zero: floor of one worker
-		{0, 4, 2},  // default workers (GOMAXPROCS) budgeted too
-		{3, 2, 3},  // within budget (3x2 <= 8): untouched
-	}
-	for _, tc := range cases {
-		c := Config{Workers: tc.workers, Shards: tc.shards}
-		got := c.workers()
-		if got != tc.want {
-			t.Errorf("Workers=%d Shards=%d: workers() = %d, want %d",
-				tc.workers, tc.shards, got, tc.want)
-		}
-		if s := c.shards(); got > 1 && got*s > 8 {
-			t.Errorf("Workers=%d Shards=%d: %d workers x %d shards oversubscribes GOMAXPROCS=8",
-				tc.workers, tc.shards, got, s)
-		}
-	}
-}
-
-func TestShardedSweepDeterminism(t *testing.T) {
-	// Companion to TestParallelDeterminism for the intra-run axis: the
-	// same experiment rendered with sharded simulations is byte-identical
-	// to the serial rendering, and the two parallelism axes compose.
-	render := func(shards int) string {
-		sub := true
-		tables, err := ByID("table4").Run(Config{Waves: 1, Subset: &sub, Workers: 2, Shards: shards})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		var b strings.Builder
-		for _, tb := range tables {
-			b.WriteString(tb.String())
-		}
-		return b.String()
-	}
-	serial := render(1)
-	sharded := render(2)
-	if serial != sharded {
-		t.Errorf("table4 output differs between -shards 1 and -shards 2:\n--- s1 ---\n%s\n--- s2 ---\n%s",
-			serial, sharded)
 	}
 }

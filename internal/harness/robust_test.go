@@ -133,38 +133,8 @@ func TestCrashDumpBundle(t *testing.T) {
 	}
 }
 
-// TestShardedCrashDumpBundle: a failure under core sharding produces
-// the same crash-dump bundle as a serial one — the watchdog fires on
-// the serial phase after the barrier, so the snapshot captures a
-// quiesced machine, never mid-shard state.
-func TestShardedCrashDumpBundle(t *testing.T) {
-	dir := t.TempDir()
-	r := newRunner(Config{Waves: 1, CrashDir: dir, Shards: 4})
-	_, err := r.run("chaos/sharded-livelock", core.Options{
-		Workload:       workload.ByName("stream").Scaled(16),
-		MaxCycles:      50_000_000,
-		WatchdogWindow: 100_000,
-		Inject:         faults.StallIssue(0, 1000),
-	})
-	if !errors.Is(err, core.ErrLivelock) {
-		t.Fatalf("sharded injected livelock returned %v, want ErrLivelock", err)
-	}
-	var re *RunError
-	if !errors.As(err, &re) {
-		t.Fatalf("error %v (%T) is not a *RunError", err, err)
-	}
-	if re.DumpPath == "" {
-		t.Fatal("RunError has no crash-dump path despite CrashDir")
-	}
-	for _, f := range []string{"error.txt", "config.json", "metrics.json", "livelock.json", "trace.json"} {
-		if _, err := os.Stat(filepath.Join(re.DumpPath, f)); err != nil {
-			t.Errorf("sharded crash dump missing %s: %v", f, err)
-		}
-	}
-}
-
-// panicAfterPF panics inside Observe after n trainings — under
-// sharding, on a shard worker goroutine mid-phase.
+// panicAfterPF panics inside Observe after n trainings, in the middle
+// of Run's core-stepping phase.
 type panicAfterPF struct{ n int }
 
 func (p *panicAfterPF) Name() string { return "panic-after" }
@@ -177,30 +147,26 @@ func (p *panicAfterPF) Observe(tr prefetch.Train, out []prefetch.Candidate) []pr
 	return out
 }
 
-// TestShardWorkerPanicIsolated: a panic raised on a shard worker
-// goroutine must cross the barrier and surface through the harness's
-// per-run panic isolation like a serial panic — a *RunError with the
+// TestPoisonedMidRunPanicIsolated: a panic raised inside Run, not just
+// while the simulator is built (TestPoisonedRunIsolated), must surface
+// through the harness's per-run panic isolation — a *RunError with the
 // payload, a stack, and a crash dump — instead of killing the process.
-func TestShardWorkerPanicIsolated(t *testing.T) {
+func TestPoisonedMidRunPanicIsolated(t *testing.T) {
 	dir := t.TempDir()
-	r := newRunner(Config{Waves: 1, CrashDir: dir, Shards: 4})
-	_, err := r.run("chaos/shard-panic", core.Options{
+	r := newRunner(Config{Waves: 1, CrashDir: dir})
+	_, err := r.run("chaos/mid-run-panic", core.Options{
 		Workload: workload.ByName("stream").Scaled(16),
 		Hardware: func() prefetch.Prefetcher { return &panicAfterPF{n: 100} },
 	})
 	var re *RunError
 	if !errors.As(err, &re) {
-		t.Fatalf("worker panic surfaced as %v (%T), want *RunError", err, err)
+		t.Fatalf("mid-run panic surfaced as %v (%T), want *RunError", err, err)
 	}
 	if re.Panic == nil || len(re.Stack) == 0 {
 		t.Fatalf("RunError missing panic payload or stack: %+v", re)
 	}
-	payload := fmt.Sprint(re.Panic)
-	if !strings.Contains(payload, "prefetcher exploded mid-phase") {
+	if payload := fmt.Sprint(re.Panic); !strings.Contains(payload, "prefetcher exploded mid-phase") {
 		t.Errorf("panic payload %q lost the original panic value", payload)
-	}
-	if !strings.Contains(payload, "shard worker stack") {
-		t.Errorf("panic payload %q lacks the worker goroutine's stack", payload)
 	}
 	if re.DumpPath == "" {
 		t.Error("RunError has no crash-dump path despite CrashDir")

@@ -73,9 +73,9 @@ func (t SpanTerminal) String() string {
 // Get's struct-literal reset, so a stale span can never leak into a
 // reused request.
 type Span struct {
-	ID    uint64                // core<<40 | per-core sequence; globally unique, shard-independent
-	Stamp [NumSpanSites]uint64  // cycle of each visited site
-	Seen  uint16                // bitmask of visited sites (cycle 0 is a valid stamp)
+	ID    uint64               // core<<40 | per-core sequence; globally unique, the export sort key
+	Stamp [NumSpanSites]uint64 // cycle of each visited site
+	Seen  uint16               // bitmask of visited sites (cycle 0 is a valid stamp)
 	Flags uint8
 	Term  SpanTerminal
 }

@@ -183,20 +183,6 @@ func (p *PFReport) Add(k PFKey, c PFCounts) {
 	b.DegreeSum += c.DegreeSum
 }
 
-// MergeFrom folds another report's buckets and coverage denominator into
-// p. The simulator gives each core a private report during sharded runs
-// and merges them here at collection time; Add is purely additive and
-// the JSONL/table outputs sort their keys, so merge order is invisible.
-func (p *PFReport) MergeFrom(o *PFReport) {
-	if p == nil || o == nil {
-		return
-	}
-	for k, c := range o.m {
-		p.Add(k, *c)
-	}
-	p.demandTransactions += o.demandTransactions
-}
-
 // AddDemandTransactions accumulates the coverage denominator, for
 // post-processors merging several runs.
 func (p *PFReport) AddDemandTransactions(n uint64) {

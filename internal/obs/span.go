@@ -72,7 +72,7 @@ func spanMix(x uint64) uint64 {
 // SpanHash is the deterministic sampling hash over a request's identity
 // (core, global warp id, per-core issue sequence). All three inputs are
 // properties of the simulated machine, never of the host: the selection
-// is identical across -j, -shards, and cycle skipping.
+// is identical across -j and cycle skipping.
 func SpanHash(core, warp int, seq uint64) uint64 {
 	h := spanMix(spanSeed ^ uint64(uint32(core)))
 	h = spanMix(h ^ uint64(uint32(warp)))
@@ -86,7 +86,8 @@ func SpanSampled(core, warp int, seq, every uint64) bool {
 	return SpanHash(core, warp, seq)%every == 0
 }
 
-// SpanID builds the globally unique, shard-independent span id.
+// SpanID builds the globally unique span id; the JSONL export sorts by
+// it, and the sampler keys on the same (core, sequence) pair.
 func SpanID(core int, seq uint64) uint64 {
 	return uint64(core)<<40 | seq
 }
@@ -154,10 +155,10 @@ func (r *SpanRec) row() string {
 	return ""
 }
 
-// SpanSet aggregates the spans of one run (or one core shard of one
-// run). Like every obs component it is nil-safe: a nil *SpanSet accepts
-// every call and does nothing, so the instrumented hot paths pay one
-// predictable branch when spans are off. The mutex serializes the
+// SpanSet aggregates the spans of one run. Like every obs component it
+// is nil-safe: a nil *SpanSet accepts every call and does nothing, so
+// the instrumented hot paths pay one predictable branch when spans are
+// off. The mutex serializes the
 // sampled-path mutations against the debug server's live /spans reads;
 // unsampled requests never touch it.
 type SpanSet struct {
@@ -180,15 +181,6 @@ func NewSpanSet(every uint64) *SpanSet {
 		every = DefaultSpanEvery
 	}
 	return &SpanSet{every: every}
-}
-
-// NewShard builds an empty set with the same sampling rate, for
-// per-core shards that merge back at collection time.
-func (ss *SpanSet) NewShard() *SpanSet {
-	if ss == nil {
-		return nil
-	}
-	return NewSpanSet(ss.every)
 }
 
 // Enabled reports whether span tracing is active.
@@ -339,32 +331,6 @@ func checkSpan(rec *SpanRec) error {
 	return nil
 }
 
-// MergeFrom folds a core shard's spans into ss. Histogram merging is
-// exact and records are re-sorted by id at output time, so merge order
-// is invisible in every rendered form.
-func (ss *SpanSet) MergeFrom(o *SpanSet) {
-	if ss == nil || o == nil {
-		return
-	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	ss.started += o.started
-	ss.finished += o.finished
-	for s := range o.terms {
-		for t := range o.terms[s] {
-			ss.terms[s][t] += o.terms[s][t]
-		}
-		for st := range o.stage[s] {
-			ss.stage[s][st].Merge(&o.stage[s][st])
-		}
-		ss.total[s].Merge(&o.total[s])
-	}
-	ss.recs = append(ss.recs, o.recs...)
-	if ss.err == nil {
-		ss.err = o.err
-	}
-}
-
 // Started reports how many requests were sampled.
 func (ss *SpanSet) Started() uint64 {
 	if ss == nil {
@@ -385,9 +351,9 @@ func (ss *SpanSet) Finished() uint64 {
 	return ss.finished
 }
 
-// Records returns the finished spans sorted by id — the canonical,
-// shard-order-independent view used by the JSONL and flow-event
-// exporters.
+// Records returns the finished spans sorted by id — the canonical order
+// of the JSONL and flow-event exporters, independent of the order in
+// which requests happened to terminate.
 func (ss *SpanSet) Records() []SpanRec {
 	if ss == nil {
 		return nil

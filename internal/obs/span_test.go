@@ -250,38 +250,6 @@ func TestSpanConservationLedger(t *testing.T) {
 	assertInvariant(t, ss.CheckConservation(50, true), "span-conservation")
 }
 
-// TestSpanMergeFromEquivalence: feeding two requests through per-core
-// shards and merging must render identically to feeding one set
-// directly — the contract that makes sharded runs byte-identical.
-func TestSpanMergeFromEquivalence(t *testing.T) {
-	direct := NewSpanSet(4)
-	for core := 0; core < 2; core++ {
-		r := startSampled(t, direct, core, core+1, 100)
-		direct.Finish(r, stampFill(r, 100), memreq.TermFill)
-	}
-	sharded := NewSpanSet(4)
-	for core := 0; core < 2; core++ {
-		sh := sharded.NewShard()
-		r := startSampled(t, sh, core, core+1, 100)
-		sh.Finish(r, stampFill(r, 100), memreq.TermFill)
-		sharded.MergeFrom(sh)
-	}
-	var a, b bytes.Buffer
-	if err := direct.WriteJSONL(&a, "m"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sharded.WriteJSONL(&b, "m"); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Errorf("merged shards render differently:\ndirect:\n%s\nsharded:\n%s", a.String(), b.String())
-	}
-	if direct.Started() != sharded.Started() || direct.Finished() != sharded.Finished() {
-		t.Errorf("ledgers diverge: direct %d/%d, sharded %d/%d",
-			direct.Started(), direct.Finished(), sharded.Started(), sharded.Finished())
-	}
-}
-
 // TestSpanNilSafety: every method on a nil *SpanSet (spans disabled)
 // must be a no-op, and stamps on unsampled requests must be free.
 func TestSpanNilSafety(t *testing.T) {
@@ -297,11 +265,6 @@ func TestSpanNilSafety(t *testing.T) {
 	r.StampSpan(memreq.SpanFill, 10) // unsampled: must not panic
 	r.SpanFlag(memreq.FlagL2Hit)
 	ss.Finish(r, 10, memreq.TermFill)
-	ss.MergeFrom(NewSpanSet(4))
-	NewSpanSet(4).MergeFrom(ss)
-	if ss.NewShard() != nil {
-		t.Error("nil SpanSet built a shard")
-	}
 	if ss.Started() != 0 || ss.Finished() != 0 || ss.Records() != nil {
 		t.Error("nil SpanSet reports state")
 	}

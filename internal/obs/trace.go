@@ -84,12 +84,6 @@ type Tracer struct {
 	ring    []Event
 	next    int
 	dropped uint64
-
-	// Per-track staging for the sharded core-stepping phase (BeginStage):
-	// while staging, Emit appends to the emitting track's buffer instead
-	// of the ring, and EndStage replays the buffers in track order.
-	staging bool
-	stages  [][]Event
 }
 
 // NewTracer builds a tracer with the given ring capacity.
@@ -100,21 +94,13 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{ring: make([]Event, 0, capacity)}
 }
 
-// Emit records one event; nil tracers ignore the call.
+// Emit records one event, overwriting the oldest when the ring is full;
+// nil tracers ignore the call.
 func (t *Tracer) Emit(kind EventKind, cycle uint64, track int, arg uint64, arg2 int64) {
 	if t == nil {
 		return
 	}
 	e := Event{Cycle: cycle, Arg: arg, Arg2: arg2, Track: int32(track), Kind: kind}
-	if t.staging && track >= 0 && track < len(t.stages) {
-		t.stages[track] = append(t.stages[track], e)
-		return
-	}
-	t.push(e)
-}
-
-// push appends one event to the ring, overwriting the oldest when full.
-func (t *Tracer) push(e Event) {
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, e)
 		return
@@ -122,38 +108,6 @@ func (t *Tracer) push(e Event) {
 	t.ring[t.next] = e
 	t.next = (t.next + 1) % len(t.ring)
 	t.dropped++
-}
-
-// BeginStage switches the tracer into per-track staging for the sharded
-// core-stepping phase: during it each core emits only on its own track
-// (its core id), so buffering per track and replaying in ascending track
-// order at EndStage reproduces the exact ring order of the serial core
-// loop, which steps core 0 to completion before touching core 1. Tracks
-// at or above tracks — none occur during the stepping phase — fall
-// through to the ring directly.
-func (t *Tracer) BeginStage(tracks int) {
-	if t == nil {
-		return
-	}
-	for len(t.stages) < tracks {
-		t.stages = append(t.stages, nil)
-	}
-	t.staging = true
-}
-
-// EndStage replays the staged events in track order and returns the
-// tracer to direct ring emission.
-func (t *Tracer) EndStage() {
-	if t == nil {
-		return
-	}
-	t.staging = false
-	for i := range t.stages {
-		for _, e := range t.stages[i] {
-			t.push(e)
-		}
-		t.stages[i] = t.stages[i][:0]
-	}
 }
 
 // Dropped reports how many events were overwritten by ring wrap-around.
@@ -272,7 +226,7 @@ func (tw *TraceWriter) AddRun(pid int, name, trackPrefix string, t *Tracer) erro
 // Loaded in Perfetto alongside the run's event tracks, the arrows
 // visualise where each sampled request spent its latency. Records come
 // from SpanSet.Records (sorted by id), so the section is byte-stable
-// across -j/-shards/-noskip; it never touches the Tracer ring.
+// across -j and -noskip; it never touches the Tracer ring.
 func (tw *TraceWriter) AddSpanFlows(pid int, ss *SpanSet) error {
 	if tw == nil || ss == nil {
 		return nil

@@ -152,14 +152,6 @@ type Core struct {
 
 	pool *memreq.Pool // request free-list (nil: plain allocation)
 
-	// Deferred block launches (core sharding): while deferLaunch is set,
-	// tryLaunchBlock queues the freed slot instead of consuming the shared
-	// BlockSource — the only cross-core state the issue path touches — so
-	// Cycle is safe to run concurrently across cores. FlushLaunches
-	// replays the queue in the caller's (core-index) order.
-	deferLaunch   bool
-	pendingLaunch []int
-
 	// Throttle-period snapshots.
 	nextPeriod uint64
 	lastCache  cache.Stats
@@ -328,9 +320,8 @@ func (c *Core) AttachCPI(b *obs.CoreCPI) { c.cpi = b }
 // AttachSpans enables request span tracing: every demand and prefetch
 // request the core creates runs the deterministic sampling decision,
 // and the sampled ones carry lifecycle stamp records from issue to
-// their terminal. During sharded runs the attached set is the core's
-// private shard, merged at collection time. A nil argument leaves span
-// tracing off and the request paths pay only nil checks.
+// their terminal. A nil argument leaves span tracing off and the request
+// paths pay only nil checks.
 func (c *Core) AttachSpans(ss *obs.SpanSet) { c.spans = ss }
 
 // startSpan runs the span sampling decision for a just-created request.
@@ -413,31 +404,8 @@ func (c *Core) Tolerance(cycle uint64) obs.Tolerance {
 	return t
 }
 
-// DeferLaunches makes tryLaunchBlock queue freed block slots instead of
-// drawing from the shared BlockSource. The simulator sets it around the
-// sharded core-stepping phase; FlushLaunches reverts it.
-func (c *Core) DeferLaunches() { c.deferLaunch = true }
-
-// FlushLaunches performs the launches deferred since DeferLaunches and
-// returns the core to immediate launching. The simulator calls it core
-// by core in index order after the stepping barrier; at most one block
-// per core can complete per cycle (one issue per cycle), so replaying
-// the queue in that order consumes the BlockSource exactly as the serial
-// core loop would have.
-func (c *Core) FlushLaunches() {
-	c.deferLaunch = false
-	for _, b := range c.pendingLaunch {
-		c.tryLaunchBlock(b)
-	}
-	c.pendingLaunch = c.pendingLaunch[:0]
-}
-
 // tryLaunchBlock fills block slot b with a fresh thread block if any.
 func (c *Core) tryLaunchBlock(b int) {
-	if c.deferLaunch {
-		c.pendingLaunch = append(c.pendingLaunch, b)
-		return
-	}
 	blockID, ok := c.src.NextBlock()
 	if !ok {
 		return

@@ -330,16 +330,16 @@ func TestHistogramMinTracking(t *testing.T) {
 }
 
 // TestHistogramMergeProperty is the exactness contract Merge makes to
-// the sharded simulator: splitting a sample stream across any number of
-// shard histograms and merging must reproduce, field for field, the
-// histogram that saw every sample directly — including every percentile
-// query. Byte-identical sharded output depends on this holding exactly,
-// not approximately.
+// Registry.MergedHistogram: splitting a sample stream across any number
+// of per-core histograms and merging must reproduce, field for field,
+// the histogram that saw every sample directly — including every
+// percentile query. The machine-wide latency percentiles in Result
+// depend on this holding exactly, not approximately.
 func TestHistogramMergeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5eed))
 	for trial := 0; trial < 50; trial++ {
-		shards := 1 + rng.Intn(8)
-		parts := make([]Histogram, shards)
+		k := 1 + rng.Intn(8)
+		parts := make([]Histogram, k)
 		var direct Histogram
 		n := rng.Intn(2000)
 		for i := 0; i < n; i++ {
@@ -347,15 +347,15 @@ func TestHistogramMergeProperty(t *testing.T) {
 			// including 0 (bucket 0) and wide outliers.
 			v := uint64(rng.Int63()) >> uint(rng.Intn(63))
 			direct.Add(v)
-			parts[rng.Intn(shards)].Add(v)
+			parts[rng.Intn(k)].Add(v)
 		}
 		var merged Histogram
 		for i := range parts {
 			merged.Merge(&parts[i])
 		}
 		if merged != direct {
-			t.Fatalf("trial %d (%d samples, %d shards): merged differs from direct\nmerged: %+v\ndirect: %+v",
-				trial, n, shards, merged, direct)
+			t.Fatalf("trial %d (%d samples, %d parts): merged differs from direct\nmerged: %+v\ndirect: %+v",
+				trial, n, k, merged, direct)
 		}
 		for _, p := range []float64{0, 25, 50, 90, 95, 99, 100} {
 			if mp, dp := merged.Percentile(p), direct.Percentile(p); mp != dp {

@@ -356,8 +356,8 @@ func validFingerprint(fp string) bool {
 
 // fingerprintable is the canonical serialisation fingerprints hash:
 // everything that determines a run's Result, in fixed field order.
-// Shards, NoCycleSkip, Obs, and Ctx are deliberately absent — the
-// byte-identity machinery guarantees they cannot change results — and
+// NoCycleSkip, Obs, and Ctx are deliberately absent — the byte-identity
+// machinery guarantees they cannot change results — and
 // the Hardware factory is represented by the memo key, which encodes
 // the prefetcher's name and parameters by construction.
 type fingerprintable struct {

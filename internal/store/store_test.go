@@ -235,10 +235,22 @@ func TestFingerprintStability(t *testing.T) {
 	}
 	// Pure wall-clock / observability knobs must NOT move it.
 	o5 := o
-	o5.Shards = 8
 	o5.NoCycleSkip = true
 	if got := mustFingerprint(t, "k", o5); got != a {
-		t.Fatal("byte-identity-neutral knobs (Shards, NoCycleSkip) moved the fingerprint")
+		t.Fatal("byte-identity-neutral knob NoCycleSkip moved the fingerprint")
+	}
+}
+
+// TestFingerprintPinned pins one fingerprint to its committed hex value,
+// so a change that silently alters the canonical serialisation — and
+// with it every content address — fails here instead of turning every
+// existing store entry into a miss. A deliberate change (a new
+// FingerprintVersion, the baseline machine, or the stream kernel) must
+// update this value.
+func TestFingerprintPinned(t *testing.T) {
+	const want = "11dd5d882a805c8b7dca1e5cbcde7f764e5d91fe8a111ae48101df4baf4484af"
+	if got := mustFingerprint(t, "sw/stream/mt-swp/true", testOptions(t)); got != want {
+		t.Fatalf("fingerprint = %s, want %s: existing store entries would no longer hit", got, want)
 	}
 }
 
