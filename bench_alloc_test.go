@@ -7,6 +7,7 @@ import (
 
 	"mtprefetch/internal/core"
 	"mtprefetch/internal/obs"
+	"mtprefetch/internal/prefetch"
 	"mtprefetch/internal/workload"
 )
 
@@ -17,17 +18,17 @@ import (
 // the allocator: flat warp state, ring-buffered queues, free-listed
 // requests and DRAM entries, and arena-carved observability epochs.
 
-// benchCoreAlloc times complete simulations of one benchmark with the
-// observability sinks configured per cfg (nil detaches them entirely),
-// reporting simulation throughput alongside the -benchmem allocation
-// columns the budget gate reads.
-func benchCoreAlloc(b *testing.B, name string, cfg *obs.Config) {
-	spec := coreBenchSpec(b, name)
+// benchCoreAlloc times complete simulations of one benchmark under the
+// prefetching options in o, with the observability sinks configured per
+// cfg (nil detaches them entirely), reporting simulation throughput
+// alongside the -benchmem allocation columns the budget gate reads.
+func benchCoreAlloc(b *testing.B, name string, o core.Options, cfg *obs.Config) {
+	o.Workload = coreBenchSpec(b, name)
 	b.ReportAllocs()
 	var cycles uint64
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		o := core.Options{Workload: spec}
+		o := o
 		if cfg != nil {
 			o.Obs = obs.New(*cfg)
 		}
@@ -53,16 +54,22 @@ func BenchmarkCoreAlloc(b *testing.B) {
 	obsCfg := obs.Config{CPIStack: true, CPIEpoch: 1 << 40}
 	for _, name := range []string{"black", "stream", "bfs"} {
 		name := name
-		b.Run(name+"/obs", func(b *testing.B) { benchCoreAlloc(b, name, &obsCfg) })
-		b.Run(name+"/noobs", func(b *testing.B) { benchCoreAlloc(b, name, nil) })
+		b.Run(name+"/obs", func(b *testing.B) { benchCoreAlloc(b, name, core.Options{}, &obsCfg) })
+		b.Run(name+"/noobs", func(b *testing.B) { benchCoreAlloc(b, name, core.Options{}, nil) })
 	}
+	// mthwp pins the prefetch issue path: MT-HWP (PWS+GS+IP) with
+	// throttling on a prefetch-heavy stream, observability detached.
+	mthwp := core.Options{Throttle: true, Hardware: func() prefetch.Prefetcher {
+		return prefetch.NewMTHWP(prefetch.MTHWPOptions{EnableGS: true, EnableIP: true})
+	}}
+	b.Run("stream/mthwp", func(b *testing.B) { benchCoreAlloc(b, "stream", mthwp, nil) })
 	// spansoff pins span tracing's zero-cost contract in the allocator
 	// dimension: an attached observer with Spans explicitly off shares
 	// the plain obs budget, even though every request-path stamp site now
 	// runs its nil-check. (Spans-on is deliberately unbudgeted — sampled
 	// span records allocate by design.)
 	spansOff := obs.Config{CPIStack: true, CPIEpoch: 1 << 40, Spans: false}
-	b.Run("black/spansoff", func(b *testing.B) { benchCoreAlloc(b, "black", &spansOff) })
+	b.Run("black/spansoff", func(b *testing.B) { benchCoreAlloc(b, "black", core.Options{}, &spansOff) })
 }
 
 // measureRun runs one complete simulation of spec with obs detached and

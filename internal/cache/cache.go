@@ -47,6 +47,7 @@ type Cache struct {
 	occupied  int    // valid lines
 	lines     []line // sets*ways, row-major by set
 	stamp     uint64
+	gen       uint64 // bumped whenever the resident set changes; see Gen
 	stats     Stats
 	pf        *obs.PFReport // nil: attribution disabled
 }
@@ -71,6 +72,13 @@ func New(sizeBytes, ways, blockBytes int) *Cache {
 // Empty reports whether no block is resident; the hot demand path uses it
 // to skip per-transaction lookups when prefetching is inactive.
 func (c *Cache) Empty() bool { return c.occupied == 0 }
+
+// Gen reports the resident-set generation: it changes whenever a block
+// is inserted (FillProv's insert path, with or without a victim) or
+// invalidated, and at no other time — Lookup, Contains and a duplicate
+// fill leave it alone. Any residency answer computed at one generation
+// therefore still holds while Gen returns the same value.
+func (c *Cache) Gen() uint64 { return c.gen }
 
 // SetPFReport attaches prefetch attribution: the cache classifies hit,
 // early-eviction, and drain outcomes against the provenance each fill
@@ -237,6 +245,7 @@ func (c *Cache) FillProv(addr uint64, used bool, prov memreq.Provenance) (earlyE
 		c.stats.FirstUses++
 	}
 	c.stats.Fills++
+	c.gen++
 	set[victim] = line{tag: tag, valid: true, used: used, lru: c.stamp, prov: prov}
 	return earlyEvict, victimAddr
 }
@@ -259,6 +268,7 @@ func (c *Cache) Invalidate(addr uint64) bool {
 			}
 			set[i].valid = false
 			c.occupied--
+			c.gen++
 			return true
 		}
 	}

@@ -227,3 +227,36 @@ func TestFillReportsVictimAddress(t *testing.T) {
 		t.Errorf("used-block eviction misreported: early=%v victim=%#x", early, victim)
 	}
 }
+
+// TestGenTracksResidentSet: the generation moves on exactly the
+// operations that change which blocks are resident, so a residency
+// answer memoized at one generation stays valid until it moves.
+func TestGenTracksResidentSet(t *testing.T) {
+	c := New(2*64, 1, 64) // two sets of one way
+	steps := []struct {
+		name  string
+		op    func()
+		moves bool
+	}{
+		{"insert", func() { c.Fill(0, false) }, true},
+		{"duplicate fill", func() { c.Fill(0, true) }, false},
+		{"lookup hit", func() { c.Lookup(0) }, false},
+		{"lookup miss", func() { c.Lookup(64) }, false},
+		{"contains", func() { c.Contains(0); c.Contains(64) }, false},
+		{"insert with eviction", func() { c.Fill(128, false) }, true},
+		{"invalidate miss", func() { c.Invalidate(0) }, false},
+		{"invalidate hit", func() { c.Invalidate(128) }, true},
+	}
+	for _, s := range steps {
+		before := c.Gen()
+		s.op()
+		if moved := c.Gen() != before; moved != s.moves {
+			t.Errorf("%s: generation moved = %v, want %v", s.name, moved, s.moves)
+		}
+	}
+	var zero Cache
+	zero.Fill(0, false)
+	if zero.Gen() != 0 {
+		t.Error("always-miss cache changed generation on a dropped fill")
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -157,5 +158,49 @@ func TestDemandFillConservation(t *testing.T) {
 		if missed > 0 && r.AvgDemandLatency == 0 {
 			t.Errorf("%v: %d misses but no latency recorded", sw, missed)
 		}
+	}
+}
+
+// calendarCorruptor is a fault injector that damages the simulator's wake
+// calendar at one cycle, after the cores have stepped and before that
+// cycle's invariant sweep.
+type calendarCorruptor struct {
+	opaqueInjector
+	s       *Simulator
+	at      uint64
+	corrupt func(*Simulator)
+}
+
+func (c *calendarCorruptor) RunFault(cycle uint64) error {
+	if cycle == c.at {
+		c.corrupt(c.s)
+	}
+	return nil
+}
+
+// TestWakeCalendarInvariant: the invariant sweep reports a wake entry
+// that disagrees with its core's next event (a missed wake site), and a
+// send flag that disagrees with its MRQ, as typed core invariant errors.
+func TestWakeCalendarInvariant(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*Simulator)
+	}{
+		{"wake-calendar", func(s *Simulator) { s.wake[3] = s.cycle + 7777 }},
+		{"send-flag", func(s *Simulator) { s.sending[5] = !s.sending[5] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj := &calendarCorruptor{at: 2000, corrupt: tc.corrupt}
+			s, err := New(Options{Workload: tiny(t, "stream"), Checks: true, CheckEvery: 1000, Inject: inj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj.s = s
+			_, err = s.Run()
+			var ie *InvariantError
+			if !errors.As(err, &ie) || ie.Component != "core" || ie.Name != tc.name || ie.Cycle != 2000 {
+				t.Fatalf("Run error = %v, want a core %s invariant error at cycle 2000", err, tc.name)
+			}
+		})
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"mtprefetch/internal/memreq"
 	"mtprefetch/internal/smcore"
 )
@@ -114,14 +116,27 @@ func (s *Simulator) checkProgress(cyc uint64) error {
 
 // checkInvariants runs the opt-in conservation sweep (Options.Checks):
 // per-core MRQ entry accounting, prefetch-cache line accounting,
-// scoreboard release balance, NoC flit conservation, DRAM buffer and
-// parking bookkeeping, and — with cycle accounting on — CPI-stack cycle
-// conservation. The sweep runs after step 4 of the visited cycle cyc,
-// so cycles 0..cyc are attributed.
+// scoreboard release balance, the wake calendar, NoC flit conservation,
+// DRAM buffer and parking bookkeeping, and — with cycle accounting on —
+// CPI-stack cycle conservation. The sweep runs after steps 4 and 5 of
+// the visited cycle cyc, so cycles 0..cyc are executed.
 func (s *Simulator) checkInvariants(cyc uint64) error {
-	for _, c := range s.cores {
+	nsend := 0
+	for i, c := range s.cores {
 		if err := c.CheckInvariants(cyc); err != nil {
 			return err
+		}
+		if err := s.checkWake(cyc, i); err != nil {
+			return err
+		}
+		if s.sending[i] {
+			nsend++
+		}
+	}
+	if nsend != s.nsend {
+		return &InvariantError{
+			Component: "core", Name: "send-count", Cycle: cyc,
+			Detail: fmt.Sprintf("%d cores flagged as sending but the count is %d", nsend, s.nsend),
 		}
 	}
 	if err := s.checkCPIConservation(cyc + 1); err != nil {
@@ -131,4 +146,34 @@ func (s *Simulator) checkInvariants(cyc uint64) error {
 		return err
 	}
 	return s.mem.CheckInvariants(cyc)
+}
+
+// checkWake verifies core i's wake-calendar entries: a sleeping core
+// (wake entry past cyc) must still report that entry as its NextEvent —
+// otherwise something changed its issue state without resetting the
+// entry, and phase 4 would oversleep it — and minWake must not exceed
+// the entry; its send flag must match its MRQ send queue, or injection
+// would pass it over.
+func (s *Simulator) checkWake(cyc uint64, i int) error {
+	c := s.cores[i]
+	if w := s.wake[i]; w < s.minWake {
+		return &InvariantError{
+			Component: "core", Name: "wake-calendar", Cycle: cyc,
+			Detail: fmt.Sprintf("core %d wakes at cycle %d, before the calendar minimum %d", i, w, s.minWake),
+		}
+	} else if w > cyc {
+		if next := c.NextEvent(cyc); next != w {
+			return &InvariantError{
+				Component: "core", Name: "wake-calendar", Cycle: cyc,
+				Detail: fmt.Sprintf("core %d sleeps until cycle %d but its next event is %d", i, w, next),
+			}
+		}
+	}
+	if n := c.MRQ.SendQueueLen(); s.sending[i] != (n > 0) {
+		return &InvariantError{
+			Component: "core", Name: "send-flag", Cycle: cyc,
+			Detail: fmt.Sprintf("core %d send flag %v but %d requests wait to be sent", i, s.sending[i], n),
+		}
+	}
+	return nil
 }

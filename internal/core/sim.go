@@ -196,6 +196,19 @@ type Simulator struct {
 	injEvts EventSource // non-nil when the injector is skip-aware
 	skipped uint64      // cycles never visited
 
+	// Per-core wake calendar (see Run). wake[i] is core i's NextEvent as
+	// of its last step, or 0 once a fill or a writeback leaving its MRQ
+	// has changed its issue state since; minWake is at most every wake
+	// entry, and their minimum after phase 4. sending[i] is whether core
+	// i's MRQ send queue is non-empty, and nsend how many are. stepAll
+	// steps every core on every visited cycle regardless (NoCycleSkip,
+	// fault injection).
+	wake    []uint64
+	minWake uint64
+	sending []bool
+	nsend   int
+	stepAll bool
+
 	reg     *obs.Registry // always non-nil; end-of-run aggregation reads it
 	sampler *obs.Sampler  // nil unless Options.Obs enabled sampling
 	pfrep   *obs.PFReport // nil unless Options.Obs enabled attribution
@@ -309,6 +322,11 @@ func New(o Options) (*Simulator, error) {
 	}
 	s.injBudget = cfg.MaxInjectPerCycle()
 	s.skipOK = !o.NoCycleSkip
+	// StallCore is a per-core, per-cycle hook, so a fault injector needs
+	// every core stepped.
+	s.stepAll = o.NoCycleSkip || o.Inject != nil
+	s.wake = make([]uint64, cfg.NumCores)
+	s.sending = make([]bool, cfg.NumCores)
 	if o.Inject != nil {
 		if es, ok := o.Inject.(EventSource); ok {
 			s.injEvts = es
@@ -424,6 +442,14 @@ func (s *Simulator) SkippedCycles() uint64 { return s.skipped }
 // degenerates to a cheap comparison when nothing is due — so results are
 // byte-identical with skipping on or off; Options.NoCycleSkip and the
 // differential tests in skip_test.go exist to keep that true.
+//
+// Within a visited cycle the same argument applies per core: a core is
+// stepped only once the cycle reaches its wake entry (its NextEvent when
+// last stepped, reset to 0 by a fill or a writeback leaving its MRQ, the
+// only outside events that change its issue state). The cycles a core is
+// not stepped are attributed to CPI buckets in bulk when it is next
+// touched or observed (smcore.AccountTo), which is exact because its
+// state is frozen in between.
 func (s *Simulator) Run() (*Result, error) {
 	var respBuf, reqBuf []*memreq.Request
 	for ; s.cycle < s.opts.MaxCycles; s.cycle++ {
@@ -449,6 +475,7 @@ func (s *Simulator) Run() (*Result, error) {
 				}
 			}
 			s.cores[r.CoreID].Fill(cyc, r)
+			s.wake[r.CoreID], s.minWake = 0, 0
 			s.fills++
 			// Each response object is delivered exactly once and nothing
 			// retains it past Fill, so its lifecycle ends here.
@@ -474,15 +501,9 @@ func (s *Simulator) Run() (*Result, error) {
 			s.net.InjectResponse(cyc, r)
 		}
 
-		// 4. Cores issue.
-		for _, c := range s.cores {
-			if s.inj != nil && s.inj.StallCore(cyc, c.ID()) {
-				// The suppressed cycle still gets a bucket (throttled) so
-				// cycle-accounting conservation holds under fault injection.
-				c.AccountExternalStall(1)
-				continue
-			}
-			if err := c.Cycle(cyc); err != nil {
+		// 4. Cores that can act issue.
+		if cyc >= s.minWake || s.stepAll {
+			if err := s.stepCores(cyc); err != nil {
 				return nil, err
 			}
 		}
@@ -496,6 +517,7 @@ func (s *Simulator) Run() (*Result, error) {
 			s.sampler.Tick(cyc)
 		}
 		if s.cpi != nil && cyc >= s.cpi.NextTick() {
+			s.account(cyc + 1)
 			s.cpi.CloseEpoch(cyc, s.tolerances(cyc), s.tracer)
 		}
 
@@ -529,18 +551,8 @@ func (s *Simulator) Run() (*Result, error) {
 		// and short-circuits on the first busy component, so checking it
 		// every cycle is both cheap and finish-event precise.
 		if s.done() {
-			res := s.collect()
-			if err := s.checkPFConservation(); err != nil {
-				return nil, err
-			}
 			// Cycles 0..s.cycle inclusive were executed on this exit path.
-			if err := s.checkCPIConservation(s.cycle + 1); err != nil {
-				return nil, err
-			}
-			if err := s.checkSpanConservation(s.cycle, true); err != nil {
-				return nil, err
-			}
-			return res, nil
+			return s.finish(s.cycle + 1)
 		}
 
 		// 9. Event-driven skip: jump to the next cycle anything can
@@ -552,14 +564,6 @@ func (s *Simulator) Run() (*Result, error) {
 					target = s.opts.MaxCycles
 				}
 				if target > cyc+1 {
-					if s.cpi != nil {
-						// Bulk-attribute the span the per-cycle path will
-						// never visit; the cores' state is frozen across it,
-						// so the attribution is exact (smcore.AccountSpan).
-						for _, c := range s.cores {
-							c.AccountSpan(cyc+1, target)
-						}
-					}
 					s.skipped += target - (cyc + 1)
 					s.cycle = target - 1
 				}
@@ -567,21 +571,79 @@ func (s *Simulator) Run() (*Result, error) {
 		}
 	}
 	if s.done() {
-		res := s.collect()
-		if err := s.checkPFConservation(); err != nil {
-			return nil, err
-		}
 		// The loop exited at the cap: cycles 0..s.cycle-1 were executed.
-		if err := s.checkCPIConservation(s.cycle); err != nil {
-			return nil, err
-		}
-		if err := s.checkSpanConservation(s.cycle, true); err != nil {
-			return nil, err
-		}
-		return res, nil
+		return s.finish(s.cycle)
 	}
 	return nil, fmt.Errorf("core: %s did not finish within %d cycles",
 		s.spec.Name, s.opts.MaxCycles)
+}
+
+// finish ends a drained run in which cycles 0..executed-1 were executed:
+// it attributes the cycles the cores were not stepped, collects the
+// Result, and runs the end-of-run conservation checks.
+func (s *Simulator) finish(executed uint64) (*Result, error) {
+	s.account(executed)
+	res := s.collect()
+	if err := s.checkPFConservation(); err != nil {
+		return nil, err
+	}
+	if err := s.checkCPIConservation(executed); err != nil {
+		return nil, err
+	}
+	if err := s.checkSpanConservation(s.cycle, true); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// account attributes every core's cycles before to that it was not
+// stepped for (smcore.AccountTo); a no-op without cycle accounting.
+func (s *Simulator) account(to uint64) {
+	if s.cpi == nil {
+		return
+	}
+	for _, c := range s.cores {
+		c.AccountTo(to)
+	}
+}
+
+// stepCores is phase 4 for a cycle at least one core's wake entry has
+// reached (every cycle under stepAll): it steps those cores, re-arms
+// their entries, and recomputes minWake.
+func (s *Simulator) stepCores(cyc uint64) error {
+	minWake := uint64(smcore.NoEvent)
+	for i, c := range s.cores {
+		if w := s.wake[i]; cyc < w && !s.stepAll {
+			minWake = min(minWake, w)
+			continue
+		}
+		if s.inj != nil && s.inj.StallCore(cyc, c.ID()) {
+			// The suppressed cycle still gets a bucket (throttled) so
+			// cycle-accounting conservation holds under fault injection.
+			c.AccountExternalStall(cyc)
+		} else if err := c.Cycle(cyc); err != nil {
+			return err
+		}
+		w := c.NextEvent(cyc)
+		s.wake[i] = w
+		minWake = min(minWake, w)
+		s.setSending(i, c.MRQ.SendQueueLen() > 0)
+	}
+	s.minWake = minWake
+	return nil
+}
+
+// setSending records whether core i has requests waiting to be sent.
+func (s *Simulator) setSending(i int, v bool) {
+	if s.sending[i] == v {
+		return
+	}
+	s.sending[i] = v
+	if v {
+		s.nsend++
+	} else {
+		s.nsend--
+	}
 }
 
 // parkedLimit throttles NOC injection while the DRAM request buffers are
@@ -590,22 +652,25 @@ func (s *Simulator) Run() (*Result, error) {
 const parkedLimit = 16
 
 func (s *Simulator) inject(cyc uint64) {
-	if s.mem.Parked() >= parkedLimit {
+	// With nothing to send the round-robin scan would wrap all the way
+	// round, leaving rrCore where it is.
+	if s.nsend == 0 || s.mem.Parked() >= parkedLimit {
 		return
 	}
 	n := len(s.cores)
 	budget := s.injBudget
 	idle := 0
 	for budget > 0 && idle < n {
-		c := s.cores[s.rrCore]
+		i := s.rrCore
 		if s.rrCore++; s.rrCore == n {
 			s.rrCore = 0
 		}
-		r := c.NextSend()
-		if r == nil {
+		if !s.sending[i] {
 			idle++
 			continue
 		}
+		c := s.cores[i]
+		r := c.NextSend()
 		if !s.net.TryInjectRequest(cyc, r) {
 			break
 		}
@@ -614,7 +679,11 @@ func (s *Simulator) inject(cyc uint64) {
 		// sampled and stamp as no-ops.
 		r.StampSpan(memreq.SpanMRQDequeue, cyc)
 		r.StampSpan(memreq.SpanNoCReqInject, cyc)
-		c.PopSend()
+		if c.PopSend(cyc).Kind == memreq.Writeback {
+			// The writeback's MRQ slot is free: stalled warps may issue.
+			s.wake[i], s.minWake = 0, 0
+		}
+		s.setSending(i, c.MRQ.SendQueueLen() > 0)
 		budget--
 		idle = 0
 	}
@@ -636,16 +705,27 @@ func (s *Simulator) nextEventCycle(cyc uint64) uint64 {
 	if next <= floor {
 		return next
 	}
-	for _, c := range s.cores {
-		if t := c.NextEvent(cyc); t < next {
-			if t <= floor {
-				return t
+	if s.nsend > 0 {
+		return floor // a sending MRQ arbitrates for injection every cycle
+	}
+	// Every core's NextEvent is still its wake entry, so minWake is their
+	// minimum, unless a writeback leaving an MRQ this cycle reset one.
+	t := s.minWake
+	if t <= cyc {
+		t = smcore.NoEvent
+		for i, c := range s.cores {
+			w := s.wake[i]
+			if w <= cyc {
+				w = c.NextEvent(cyc)
 			}
-			next = t
+			t = min(t, w)
 		}
-		if t := c.MRQ.NextEvent(cyc); t < next {
-			return t // a sendable entry always reports cyc+1
+	}
+	if t < next {
+		if t <= floor {
+			return t
 		}
+		next = t
 	}
 	if t := s.net.NextEvent(); t < next {
 		if t <= floor {
@@ -712,11 +792,12 @@ func (s *Simulator) tolerances(cyc uint64) []obs.Tolerance {
 
 // checkCPIConservation verifies (Options.Checks only) that every
 // executed cycle was attributed to exactly one CPI-stack bucket on every
-// core, skipped spans included.
+// core, skipped spans and unstepped cycles included.
 func (s *Simulator) checkCPIConservation(executed uint64) error {
 	if s.cpi == nil || !s.opts.Checks {
 		return nil
 	}
+	s.account(executed)
 	if ie := s.cpi.CheckConservation(s.cycle, executed); ie != nil {
 		return ie
 	}

@@ -13,6 +13,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Reg names a per-thread register. Register 0 is reserved as "no register".
@@ -124,15 +125,22 @@ func hash64(x uint64) uint64 {
 	return x
 }
 
-// LaneAddr computes the byte address touched by one lane.
-func (a *Access) LaneAddr(warpGID, warpSize, lane, iter int) uint64 {
+// offset is lane's byte offset within its array before the span fold,
+// in wrapping uint64 arithmetic.
+func (a *Access) offset(warpGID, warpSize, lane, iter int) uint64 {
 	w := warpGID + a.WarpAhead
 	if a.WarpPeriod > 0 {
 		w %= a.WarpPeriod
 	}
 	tid := uint64(w)*uint64(warpSize) + uint64(lane)
 	it := uint64(iter + a.IterAhead)
-	off := a.Offset + tid*a.LaneStrideB + it*a.IterStrideB
+	return a.Offset + tid*a.LaneStrideB + it*a.IterStrideB
+}
+
+// LaneAddr computes the byte address touched by one lane. It is the
+// reference definition Transactions is tested against.
+func (a *Access) LaneAddr(warpGID, warpSize, lane, iter int) uint64 {
+	off := a.offset(warpGID, warpSize, lane, iter)
 	if a.Hash {
 		off = hash64(off) % a.span()
 	} else {
@@ -145,23 +153,87 @@ func (a *Access) LaneAddr(warpGID, warpSize, lane, iter int) uint64 {
 // by a full warp executing this access, in first-touch order, and returns
 // the extended slice. This models the 8800GT-era coalescer: one memory
 // transaction per distinct block.
+//
+// The result is LaneAddr's, lane by lane, without a division per lane.
+// Lane k's unfolded offset is base + k*LaneStrideB, where base is lane
+// 0's (uint64 arithmetic wraps identically either way), so the warp term
+// and its WarpPeriod fold are computed once. A hashed offset is folded
+// into the span per lane, with a mask when the span is a power of two.
+// A plain offset is stepped modulo the span with one add and a
+// conditional subtract; that equals folding base + k*LaneStrideB only if
+// the sum never wraps past 2^64, so a warp whose last lane would wrap
+// takes the per-lane LaneAddr path instead.
 func (a *Access) Transactions(warpGID, warpSize, iter, blockBytes int, buf []uint64) []uint64 {
-	start := len(buf)
+	d := dedup{start: len(buf), sorted: true}
 	mask := ^(uint64(blockBytes) - 1)
-	for lane := 0; lane < warpSize; lane++ {
-		blk := a.LaneAddr(warpGID, warpSize, lane, iter) & mask
-		dup := false
-		for _, b := range buf[start:] {
-			if b == blk {
-				dup = true
-				break
+	arr := ArrayBase(a.Array)
+	span := a.span()
+	stride := a.LaneStrideB
+	off := a.offset(warpGID, warpSize, 0, iter)
+	if a.Hash {
+		pow2 := span&(span-1) == 0
+		for lane := 0; lane < warpSize; lane++ {
+			h := hash64(off)
+			if pow2 {
+				h &= span - 1
+			} else {
+				h %= span
 			}
+			buf = d.add(buf, (arr+h)&mask)
+			off += stride
 		}
-		if !dup {
-			buf = append(buf, blk)
+		return buf
+	}
+	hi, lo := bits.Mul64(uint64(warpSize-1), stride)
+	if _, carry := bits.Add64(off, lo, 0); hi != 0 || carry != 0 {
+		for lane := 0; lane < warpSize; lane++ {
+			buf = d.add(buf, a.LaneAddr(warpGID, warpSize, lane, iter)&mask)
+		}
+		return buf
+	}
+	// o is lane k's offset mod span; step = stride mod span, and
+	// o >= span-step is o+step >= span, tested without overflowing.
+	o, step := off%span, stride%span
+	wrap := span - step
+	for lane := 0; lane < warpSize; lane++ {
+		buf = d.add(buf, (arr+o)&mask)
+		if o >= wrap {
+			o -= wrap
+		} else {
+			o += step
 		}
 	}
 	return buf
+}
+
+// dedup appends blocks to buf[start:] unless already there, keeping
+// first-touch order. While the blocks arrive in ascending order, as a
+// plain access's do until its offset wraps round the span, buf[start:]
+// is strictly increasing and a repeat can only be its last block; after
+// that it scans newest first, since neighbouring lanes mostly share a
+// block.
+type dedup struct {
+	start  int
+	sorted bool
+}
+
+func (d *dedup) add(buf []uint64, blk uint64) []uint64 {
+	n := len(buf)
+	if d.sorted {
+		switch {
+		case n == d.start || blk > buf[n-1]:
+			return append(buf, blk)
+		case blk == buf[n-1]:
+			return buf
+		}
+		d.sorted = false
+	}
+	for i := n - 1; i >= d.start; i-- {
+		if buf[i] == blk {
+			return buf
+		}
+	}
+	return append(buf, blk)
 }
 
 // Instr is one warp-instruction.

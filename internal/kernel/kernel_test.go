@@ -306,3 +306,50 @@ func TestOpClassString(t *testing.T) {
 		t.Error("non-memory op classified as memory")
 	}
 }
+
+// referenceTransactions is the coalescer's definition: every lane's
+// LaneAddr, block-aligned, first touch kept.
+func referenceTransactions(a *Access, warpGID, warpSize, iter, blockBytes int) []uint64 {
+	var out []uint64
+	seen := map[uint64]bool{}
+	for lane := 0; lane < warpSize; lane++ {
+		blk := a.LaneAddr(warpGID, warpSize, lane, iter) &^ (uint64(blockBytes) - 1)
+		if !seen[blk] {
+			seen[blk] = true
+			out = append(out, blk)
+		}
+	}
+	return out
+}
+
+// FuzzTransactions holds the division-free coalescer to the per-lane
+// LaneAddr reference over arbitrary Access fields: hashed and plain
+// accesses, power-of-two and other spans (including spans above 2^63),
+// WarpPeriod folds, negative WarpAhead/IterAhead, and strides whose
+// lane offsets wrap past 2^64. A non-empty prefix in buf checks that
+// deduplication only looks at the appended part. The seed corpus under
+// testdata/fuzz runs with plain go test.
+func FuzzTransactions(f *testing.F) {
+	f.Fuzz(func(t *testing.T, array uint8, offset, laneStride, iterStride, span uint64,
+		warpAhead, iterAhead, warpPeriod, warpGID, iter int, hash bool, warpSize, blockShift uint8) {
+		a := Access{
+			Array: int(array % 8), Offset: offset,
+			LaneStrideB: laneStride, IterStrideB: iterStride,
+			WarpAhead: warpAhead, IterAhead: iterAhead,
+			Hash: hash, Span: span, WarpPeriod: warpPeriod,
+		}
+		ws := int(warpSize%64) + 1
+		bb := 1 << (blockShift % 13)
+		want := referenceTransactions(&a, warpGID, ws, iter, bb)
+		prefix := []uint64{want[0]}
+		got := a.Transactions(warpGID, ws, iter, bb, prefix)
+		if got[0] != want[0] || len(got)-1 != len(want) {
+			t.Fatalf("%+v: Transactions = %#x, want prefix then %#x", a, got, want)
+		}
+		for i, blk := range want {
+			if got[i+1] != blk {
+				t.Fatalf("%+v: Transactions = %#x, want prefix then %#x", a, got, want)
+			}
+		}
+	})
+}

@@ -155,17 +155,6 @@ func (q *Queue) CheckInvariants(cycle uint64, core int) error {
 // used by prefetch generation to drop candidates already in flight.
 func (q *Queue) Lookup(addr uint64) *memreq.Request { r, _ := q.byAddr.Get(addr); return r }
 
-// NextEvent reports the next cycle at which the queue itself has work to
-// drive: cycle+1 while a sendable entry waits for NOC injection, and
-// never otherwise (completions are the memory system's events). It is
-// part of the event-driven cycle-skipping contract (see core.Run).
-func (q *Queue) NextEvent(cycle uint64) uint64 {
-	if q.sendq.Len() > 0 {
-		return cycle + 1
-	}
-	return ^uint64(0)
-}
-
 // Add offers a request to the queue.
 func (q *Queue) Add(r *memreq.Request) AddResult {
 	if r.Kind != memreq.Writeback {

@@ -60,6 +60,24 @@ type Stats struct {
 	WarpsCompleted    uint64
 }
 
+// txMemo is one warp slot's memoized coalescing result for the
+// instruction at (pc, iter), plus how many of txs[:scanned] the prefetch
+// cache did not hold at cache generation missGen. Each transaction's
+// residency depends only on the cache's resident set, so the partial
+// count stays exact while neither the set nor the generation changes: a
+// new set clears missOK, and the generation moves with every insert or
+// invalidation (cache.Gen). The txs backing array is reused across
+// instructions.
+type txMemo struct {
+	txs      []uint64
+	pc, iter int32
+	valid    bool
+	missOK   bool
+	misses   int
+	scanned  int
+	missGen  uint64
+}
+
 type blockState struct {
 	active    bool
 	remaining int // unfinished warps
@@ -91,13 +109,10 @@ type Core struct {
 	pending []uint16
 	numRegs int
 
-	// Memoized coalescing result for the instruction at (txPC, txIter),
-	// so a warp stalled on MRQ space does not redo the lane-dedup work
-	// every cycle it retries. txs backing arrays are reused per slot.
-	txs     [][]uint64
-	txPC    []int32
-	txIter  []int32
-	txValid []bool
+	// Per-slot memo of the current memory instruction's transactions,
+	// so a warp stalled on MRQ space redoes neither coalescing nor
+	// prefetch-cache lookups on every retry.
+	memo []txMemo
 
 	blocks    []blockState
 	src       BlockSource
@@ -137,6 +152,12 @@ type Core struct {
 
 	issueBusyUntil uint64
 	rr             int // round-robin scan start
+
+	// acct is the first cycle not yet attributed to a CPI bucket (only
+	// maintained with cycle accounting on). The simulator steps a core
+	// only on cycles it can act, so the cycles in between are attributed
+	// in bulk when the core is next touched (AccountTo).
+	acct uint64
 
 	// Warp issue index: activeMask has a bit per resident warp still
 	// executing its program (active and not done); issueMask is the
@@ -205,10 +226,7 @@ func New(o Options) (*Core, error) {
 		wBlock:     make([]int32, numWarps),
 		pending:    make([]uint16, numWarps*prog.NumRegs),
 		numRegs:    prog.NumRegs,
-		txs:        make([][]uint64, numWarps),
-		txPC:       make([]int32, numWarps),
-		txIter:     make([]int32, numWarps),
-		txValid:    make([]bool, numWarps),
+		memo:       make([]txMemo, numWarps),
 		blocks:     make([]blockState, maxBlocks),
 		src:        o.Blocks,
 		MRQ:        mrq.New(o.Config.MRQSize),
@@ -255,7 +273,8 @@ func (c *Core) ID() int { return c.id }
 // those of its sub-components (prefetch cache, MRQ, throttle engine,
 // MT-HWP tables) register into reg, and structured events are emitted
 // into tr. Both may be nil; registration is free on the hot path either
-// way, since the registry samples live state through closures.
+// way, since the registry reads the counters through pointers when it
+// is sampled.
 func (c *Core) Observe(reg *obs.Registry, tr *obs.Tracer) {
 	c.trace = tr
 	l := obs.Labels{Core: c.id, Component: "smcore"}
@@ -311,9 +330,9 @@ func (c *Core) AttachPFReport(p *obs.PFReport) {
 }
 
 // AttachCPI enables cycle accounting: with a bucket set attached, every
-// call to Cycle (and every skipped cycle via AccountSpan) attributes
-// exactly one cycle to one bucket. Must be attached before Observe so
-// the per-bucket registry counters appear. A nil argument leaves
+// cycle is attributed to exactly one bucket — by Cycle for the cycle it
+// steps, and by AccountTo for the cycles the core was not stepped. Must
+// be attached before Observe so the per-bucket registry counters appear. A nil argument leaves
 // accounting off and the issue path pays only nil checks.
 func (c *Core) AttachCPI(b *obs.CoreCPI) { c.cpi = b }
 
@@ -352,17 +371,20 @@ func (c *Core) stallBucket() obs.Bucket {
 	return obs.BucketScoreboard
 }
 
-// AccountSpan bulk-attributes the skipped span [from, to) exactly as the
-// per-cycle path would have: cycles still inside the current issue
-// occupancy are issued bandwidth, the rest take the current stall
-// bucket. The skip contract (core.nextEventCycle) guarantees this
-// equals cycle-by-cycle attribution: with issue-eligible warps the span
-// cannot extend past issueBusyUntil (NextEvent caps it), and only a
-// visited cycle can change the stall cause.
-func (c *Core) AccountSpan(from, to uint64) {
-	if c.cpi == nil || to <= from {
+// AccountTo attributes every cycle from the first unattributed one up to
+// (not including) to, exactly as stepping the core through them would
+// have: cycles still inside the current issue occupancy are issued
+// bandwidth, the rest take the current stall bucket. That is exact
+// because the core's state is frozen between the cycles it is stepped:
+// with issue-eligible warps it is stepped no later than issueBusyUntil
+// (NextEvent), and the only other changes — a fill, a freed MRQ slot —
+// call AccountTo before they apply. A no-op without cycle accounting.
+func (c *Core) AccountTo(to uint64) {
+	if c.cpi == nil || to <= c.acct {
 		return
 	}
+	from := c.acct
+	c.acct = to
 	if busy := c.issueBusyUntil; busy > from {
 		if busy > to {
 			busy = to
@@ -375,12 +397,14 @@ func (c *Core) AccountSpan(from, to uint64) {
 	}
 }
 
-// AccountExternalStall attributes n cycles in which the issue stage was
-// externally suppressed (a fault injector holding the core) to the
+// AccountExternalStall attributes cycle, in which the issue stage was
+// externally suppressed (a fault injector holding the core), to the
 // throttled bucket, keeping conservation exact under fault injection.
-func (c *Core) AccountExternalStall(n uint64) {
+func (c *Core) AccountExternalStall(cycle uint64) {
 	if c.cpi != nil {
-		c.cpi.Buckets[obs.BucketThrottled] += n
+		c.AccountTo(cycle)
+		c.cpi.Buckets[obs.BucketThrottled]++
+		c.acct = cycle + 1
 	}
 }
 
@@ -422,6 +446,9 @@ func (c *Core) tryLaunchBlock(b int) {
 		c.wRemTrips[slot] = int32(c.prog.LoopTrips)
 		c.wOutstand[slot] = 0
 		c.wBlock[slot] = int32(b)
+		// The new warp may start at the (pc, iter) its predecessor ended
+		// on, but its addresses differ.
+		c.memo[slot].valid, c.memo[slot].missOK = false, false
 		clear(c.pending[slot*c.numRegs : (slot+1)*c.numRegs])
 		c.liveWarps++
 		c.activateWarp(slot)
@@ -472,18 +499,22 @@ func (c *Core) Idle() bool {
 // NextSend exposes the oldest unsent MRQ request for NOC injection.
 func (c *Core) NextSend() *memreq.Request { return c.MRQ.NextSend() }
 
-// PopSend removes it after a successful injection. Popping a writeback
-// frees its MRQ slot, so stalled warps become eligible again.
-func (c *Core) PopSend() *memreq.Request {
+// PopSend removes it after a successful injection at cycle, which comes
+// after the cycle's issue step. Popping a writeback frees its MRQ slot,
+// so stalled warps become eligible again.
+func (c *Core) PopSend(cycle uint64) *memreq.Request {
 	r := c.MRQ.PopSend()
 	if r != nil && r.Kind == memreq.Writeback {
+		c.AccountTo(cycle + 1)
 		c.wake()
 	}
 	return r
 }
 
-// Fill delivers a returned memory response to the core.
+// Fill delivers a returned memory response to the core at cycle, before
+// the cycle's issue step.
 func (c *Core) Fill(cycle uint64, r *memreq.Request) {
+	c.AccountTo(cycle)
 	// The delivered request reaches its terminal here even when its MRQ
 	// entry is already gone (inter-core merge leftovers below).
 	r.StampSpan(memreq.SpanFill, cycle)
@@ -665,9 +696,14 @@ func (c *Core) maybeRetire(slot int) {
 }
 
 // Cycle advances the core by one cycle: throttle-period accounting and at
-// most one warp-instruction issue. A non-nil error is an invariant
+// most one warp-instruction issue. Cycles since the core was last stepped
+// are attributed first (AccountTo). A non-nil error is an invariant
 // violation (the simulation must abort).
 func (c *Core) Cycle(cycle uint64) error {
+	if c.cpi != nil {
+		c.AccountTo(cycle)
+		c.acct = cycle + 1
+	}
 	if c.periodic && cycle >= c.nextPeriod {
 		c.endPeriod(cycle)
 		c.nextPeriod = cycle + c.cfg.ThrottlePeriod
@@ -759,9 +795,11 @@ const NoEvent = ^uint64(0)
 // current issue occupancy. NoEvent when every resident warp is done or
 // stalled; only a fill or a freed MRQ slot can change that, and those are
 // the memory system's events. The value is a conservative lower bound:
-// callers re-evaluate after every visited cycle, so visiting a cycle
-// where nothing happens is safe, skipping one where something would have
-// happened is not.
+// stepping the core on a cycle where nothing happens is safe, skipping
+// one where something would have happened is not. The simulator keeps
+// the answer as the core's wake entry until it steps the core again or a
+// Fill or writeback PopSend resets it, so the answer may only change
+// through Cycle, Fill and PopSend.
 func (c *Core) NextEvent(cycle uint64) uint64 {
 	next := uint64(NoEvent)
 	if c.periodic && c.nextPeriod < next {
@@ -853,13 +891,33 @@ func (c *Core) issueOccupy(cycle uint64, cost int) {
 // transactions returns the block addresses touched by in for the warp in
 // slot, memoized across stalled retries of the same instruction.
 func (c *Core) transactions(slot int, in *kernel.Instr) []uint64 {
+	m := &c.memo[slot]
 	pc, iter := c.wPC[slot], c.wIter[slot]
-	if c.txValid[slot] && c.txPC[slot] == pc && c.txIter[slot] == iter {
-		return c.txs[slot]
+	if m.valid && m.pc == pc && m.iter == iter {
+		return m.txs
 	}
-	c.txs[slot] = in.Mem.Transactions(int(c.wGwid[slot]), c.cfg.WarpSize, int(iter), c.cfg.BlockBytes, c.txs[slot][:0])
-	c.txPC[slot], c.txIter[slot], c.txValid[slot] = pc, iter, true
-	return c.txs[slot]
+	m.txs = in.Mem.Transactions(int(c.wGwid[slot]), c.cfg.WarpSize, int(iter), c.cfg.BlockBytes, m.txs[:0])
+	m.pc, m.iter, m.valid, m.missOK = pc, iter, true, false
+	return m.txs
+}
+
+// missesFit reports whether at most room of the slot's memoized
+// transactions miss the prefetch cache. The count stops as soon as it
+// exceeds room, and is kept with the cache generation it was taken at,
+// so a retry at the same generation resumes it instead of starting over
+// (see txMemo).
+func (c *Core) missesFit(slot, room int) bool {
+	m := &c.memo[slot]
+	if gen := c.PFCache.Gen(); !m.missOK || m.missGen != gen {
+		m.misses, m.scanned, m.missGen, m.missOK = 0, 0, gen, true
+	}
+	for m.misses <= room && m.scanned < len(m.txs) {
+		if !c.PFCache.Contains(m.txs[m.scanned]) {
+			m.misses++
+		}
+		m.scanned++
+	}
+	return m.misses <= room
 }
 
 // issueMemory handles loads and stores; it reports false when the MRQ
@@ -896,13 +954,7 @@ func (c *Core) issueMemory(cycle uint64, slot int, in *kernel.Instr) (bool, erro
 		if out >= c.demandCap() || c.PFCache.Empty() {
 			return false, nil
 		}
-		misses := 0
-		for _, addr := range txs {
-			if !c.PFCache.Contains(addr) {
-				misses++
-			}
-		}
-		if out+misses > c.demandCap() {
+		if !c.missesFit(slot, c.demandCap()-out) {
 			return false, nil
 		}
 	}

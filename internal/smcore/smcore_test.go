@@ -58,6 +58,12 @@ func newCore(t *testing.T, spec *workload.Spec, hwp prefetch.Prefetcher, eng *th
 // sends are completed and filled back after `lat` cycles.
 func drain(t *testing.T, c *Core, lat uint64, maxCycles int) uint64 {
 	t.Helper()
+	return drainSent(t, c, lat, maxCycles, func(*memreq.Request) {})
+}
+
+// drainSent is drain, handing every request the core sends to sent.
+func drainSent(t *testing.T, c *Core, lat uint64, maxCycles int, sent func(*memreq.Request)) uint64 {
+	t.Helper()
 	type pending struct {
 		at  uint64
 		req *memreq.Request
@@ -75,10 +81,11 @@ func drain(t *testing.T, c *Core, lat uint64, maxCycles int) uint64 {
 		inflight = kept
 		c.Cycle(cyc)
 		for {
-			r := c.PopSend()
+			r := c.PopSend(cyc)
 			if r == nil {
 				break
 			}
+			sent(r)
 			if r.Kind != memreq.Writeback {
 				inflight = append(inflight, pending{at: cyc + lat, req: r})
 			}
@@ -354,7 +361,7 @@ func TestDemandCapReservesPrefetchRoom(t *testing.T) {
 	for cyc := uint64(0); cyc < 100; cyc++ {
 		c.Cycle(cyc)
 		for c.MRQ.NextSend() != nil {
-			c.PopSend()
+			c.PopSend(cyc)
 		}
 	}
 	if out := c.MRQ.Outstanding(); out > cfg.MRQSize-cfg.MRQPrefetchReserve {
@@ -414,5 +421,39 @@ func TestPollutionFilterWiring(t *testing.T) {
 	drain(t, c, 60, 200_000)
 	if got := c.Stats().DroppedByFilter; got == 0 {
 		t.Error("filter never dropped a useless prefetch stream")
+	}
+}
+
+// TestRelaunchedWarpRecoalesces: a warp slot reused by a new block must
+// request its new warp's blocks. The relaunched warp's first memory
+// instruction has the same (pc, iter) as its predecessor's last one, so
+// a transaction memo that survived the relaunch would replay the old
+// warp's addresses under the new warp id.
+func TestRelaunchedWarpRecoalesces(t *testing.T) {
+	b := kernel.NewBuilder("one")
+	v := b.Load(kernel.Access{Array: 0, LaneStrideB: 64})
+	b.Compute(4, v)
+	spec := testSpec(t, b.MustBuild(), 2, 3, 1)
+	c := newCore(t, spec, nil, nil)
+	got := map[int]map[uint64]bool{}
+	drainSent(t, c, 50, 100_000, func(r *memreq.Request) {
+		if got[r.WarpID] == nil {
+			got[r.WarpID] = map[uint64]bool{}
+		}
+		got[r.WarpID][r.Addr] = true
+	})
+	cfg := config.Baseline()
+	acc := spec.Program.Instrs[0].Mem
+	for gwid := 0; gwid < spec.TotalWarps; gwid++ {
+		want := acc.Transactions(gwid, cfg.WarpSize, 0, cfg.BlockBytes, nil)
+		if len(got[gwid]) != len(want) {
+			t.Errorf("warp %d requested %d blocks, want %d", gwid, len(got[gwid]), len(want))
+		}
+		for _, addr := range want {
+			if !got[gwid][addr] {
+				t.Errorf("warp %d never requested its block %#x", gwid, addr)
+				break
+			}
+		}
 	}
 }
