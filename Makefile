@@ -1,10 +1,11 @@
 GO ?= go
 
-.PHONY: check build test vet race chaos bench bench-parallel bench-core bench-alloc pfreport cpistack spans
+.PHONY: check build test vet race chaos pfreport cpistack spans
 
 # The full gate used before committing: vet, build, race-enabled tests
-# (including the scaled-down parallel-harness sweep; see harness_test.go),
-# then the fault-injection suite.
+# (including the scaled-down parallel-harness sweep, see harness_test.go,
+# and the allocation budgets, see alloc_test.go), then the
+# fault-injection suite. It writes no tracked file.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -34,9 +35,6 @@ vet:
 race:
 	$(GO) test -race ./...
 
-bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
-
 # Prefetch attribution demo: run the GS-table sweep with per-(source, PC)
 # lifecycle attribution enabled, then render the per-source summary and
 # per-PC breakdown with cmd/pfstat. Leaves the raw JSONL in
@@ -62,33 +60,3 @@ cpistack:
 spans:
 	$(GO) run ./cmd/mtpref -waves 1 -spans spans.jsonl run gstable > /dev/null
 	$(GO) run ./cmd/spanstat spans.jsonl
-
-# Records the parallel harness's wall-clock scaling: per-worker-count
-# sweep times plus the headline speedup-j4 metric.
-bench-parallel:
-	$(GO) test -bench='Sweep' -run=^$$ -benchtime=1x .
-
-# Core-loop benchmarks, archived as BENCH_core.json: absolute simulation
-# rate (cycles/s), allocation counts, the fraction of cycles the
-# event-driven skipper elided, and the paired skip-vs-noskip wall-clock
-# speedup per memory-intensive benchmark. Override BENCHTIME=1x for a
-# CI smoke run; the default gives stable ratios on an idle machine.
-BENCHTIME ?= 3x
-bench-core:
-	$(GO) test -bench='CoreRun|CoreSkipSpeedup' -benchmem -run=^$$ -benchtime=$(BENCHTIME) . > bench_core.tmp
-	$(GO) run ./cmd/benchjson < bench_core.tmp > BENCH_core.json
-	@rm bench_core.tmp
-	@echo wrote BENCH_core.json
-
-# GC-pressure gate, archived as BENCH_alloc.json: allocs/op, bytes/op
-# and cycles/s per workload with observability attached and detached.
-# benchjson compares each result against the committed per-benchmark
-# budgets in ci/alloc_budget.json and fails (after writing the JSON, so
-# the artifact survives) when a budget is exceeded — allocation-rate
-# regressions in the steady-state loop break the build instead of
-# silently eroding sweep throughput.
-bench-alloc:
-	$(GO) test -bench='CoreAlloc' -benchmem -run=^$$ -benchtime=$(BENCHTIME) . > bench_alloc.tmp
-	$(GO) run ./cmd/benchjson -budget ci/alloc_budget.json < bench_alloc.tmp > BENCH_alloc.json
-	@rm bench_alloc.tmp
-	@echo wrote BENCH_alloc.json

@@ -11,17 +11,7 @@ import (
 	"mtprefetch/internal/core"
 	"mtprefetch/internal/prefetch"
 	"mtprefetch/internal/swpref"
-	"mtprefetch/internal/workload"
 )
-
-func ablationSpec(b *testing.B, name string) *workload.Spec {
-	b.Helper()
-	s := workload.ByName(name)
-	if s == nil {
-		b.Fatalf("unknown benchmark %s", name)
-	}
-	return s.Scaled(s.Blocks / (14 * s.MaxBlocksPerCore * 2))
-}
 
 func ablationRun(b *testing.B, o core.Options) *core.Result {
 	b.Helper()
@@ -40,7 +30,7 @@ func mthwpFactory() prefetch.Prefetcher {
 // BenchmarkAblationScheduler compares switch-on-stall (the paper's
 // scheduler) against per-instruction round-robin under MT-HWP.
 func BenchmarkAblationScheduler(b *testing.B) {
-	spec := ablationSpec(b, "mersenne")
+	spec := coreBenchSpec(b, "mersenne")
 	for i := 0; i < b.N; i++ {
 		sos := ablationRun(b, core.Options{Workload: spec, Hardware: mthwpFactory})
 		cfg := config.Baseline()
@@ -53,7 +43,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 // BenchmarkAblationAgePromote measures the DRAM prefetch age-promotion
 // mechanism: without it, strict demand priority starves prefetches.
 func BenchmarkAblationAgePromote(b *testing.B) {
-	spec := ablationSpec(b, "monte")
+	spec := coreBenchSpec(b, "monte")
 	for i := 0; i < b.N; i++ {
 		base := ablationRun(b, core.Options{Workload: spec})
 		with := ablationRun(b, core.Options{Workload: spec, Software: swpref.Stride})
@@ -69,7 +59,7 @@ func BenchmarkAblationAgePromote(b *testing.B) {
 // without reserved entries, demand traffic starves the prefetcher at the
 // queue.
 func BenchmarkAblationMRQReserve(b *testing.B) {
-	spec := ablationSpec(b, "monte")
+	spec := coreBenchSpec(b, "monte")
 	for i := 0; i < b.N; i++ {
 		base := ablationRun(b, core.Options{Workload: spec})
 		with := ablationRun(b, core.Options{Workload: spec, Software: swpref.Stride})
@@ -86,7 +76,7 @@ func BenchmarkAblationMRQReserve(b *testing.B) {
 // against the related-work pollution filter (Zhuang & Lee) on a
 // pollution-heavy workload.
 func BenchmarkAblationHarmControl(b *testing.B) {
-	spec := ablationSpec(b, "scalar")
+	spec := coreBenchSpec(b, "scalar")
 	cfg := config.Baseline()
 	cfg.ThrottlePeriod = 10_000
 	for i := 0; i < b.N; i++ {
@@ -104,7 +94,7 @@ func BenchmarkAblationHarmControl(b *testing.B) {
 // shared L2 slice at the memory controllers, with and without MT-HWP on
 // top.
 func BenchmarkAblationL2(b *testing.B) {
-	spec := ablationSpec(b, "sepia")
+	spec := coreBenchSpec(b, "sepia")
 	cfg := config.Baseline()
 	cfg.L2Bytes = 512 * 1024
 	cfg.L2Ways = 16
@@ -121,7 +111,7 @@ func BenchmarkAblationL2(b *testing.B) {
 // BenchmarkAblationGHBLocalization compares CZone (AC/DC) vs PC (PC/DC)
 // localization of the GHB.
 func BenchmarkAblationGHBLocalization(b *testing.B) {
-	spec := ablationSpec(b, "scalar")
+	spec := coreBenchSpec(b, "scalar")
 	for i := 0; i < b.N; i++ {
 		base := ablationRun(b, core.Options{Workload: spec})
 		acdc := ablationRun(b, core.Options{Workload: spec, Hardware: func() prefetch.Prefetcher {
@@ -137,7 +127,7 @@ func BenchmarkAblationGHBLocalization(b *testing.B) {
 
 // BenchmarkAblationPrefetchDegree sweeps the prefetch degree of MT-HWP.
 func BenchmarkAblationPrefetchDegree(b *testing.B) {
-	spec := ablationSpec(b, "mersenne")
+	spec := coreBenchSpec(b, "mersenne")
 	for i := 0; i < b.N; i++ {
 		base := ablationRun(b, core.Options{Workload: spec})
 		for _, deg := range []int{1, 2, 4} {

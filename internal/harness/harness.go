@@ -1,7 +1,8 @@
 // Package harness regenerates the paper's evaluation: one experiment per
 // table and figure, each returning text tables whose rows/series mirror
-// what the paper reports. The cmd/mtpref CLI and the repository-level
-// benchmarks are thin wrappers around this registry.
+// what the paper reports. The cmd/mtpref CLI is a thin wrapper around
+// this registry, and the paper-sweep and observed-store workloads of
+// bench/ time it.
 package harness
 
 import (
@@ -25,6 +26,10 @@ import (
 	"mtprefetch/internal/workload"
 )
 
+// throttlePeriod replaces the Table II 100k-cycle throttling period in
+// every harness run: 100k cycles is far longer than a scaled-down run.
+const throttlePeriod = 10_000
+
 // Config controls experiment scale. The zero value is usable and selects
 // the defaults noted per field.
 type Config struct {
@@ -32,9 +37,6 @@ type Config struct {
 	// occupancy waves per core (default 2). Larger values run longer and
 	// reduce warm-up noise; the shapes are stable across scales.
 	Waves int
-	// ThrottlePeriod overrides the Table II 100k-cycle throttling period,
-	// which is far longer than a scaled-down run (default 10k).
-	ThrottlePeriod uint64
 	// Subset restricts the expensive sensitivity sweeps (Figs. 16-18) to
 	// a representative benchmark subset instead of the full suite
 	// (default true).
@@ -100,13 +102,6 @@ func (c Config) waves() int {
 		return 2
 	}
 	return c.Waves
-}
-
-func (c Config) throttlePeriod() uint64 {
-	if c.ThrottlePeriod == 0 {
-		return 10_000
-	}
-	return c.ThrottlePeriod
 }
 
 func (c Config) subset() bool {
@@ -227,7 +222,7 @@ func (r *runner) spec(s *workload.Spec) *workload.Spec {
 // machine returns the baseline config with the scaled throttle period.
 func (r *runner) machine() *config.Config {
 	cfg := config.Baseline()
-	cfg.ThrottlePeriod = r.c.throttlePeriod()
+	cfg.ThrottlePeriod = throttlePeriod
 	return cfg
 }
 
@@ -306,10 +301,11 @@ func (r *runner) runOne(key string, o core.Options) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.c.Obs.Finish(key, ob); err != nil {
+	artifacts, err := r.c.Obs.Finish(key, ob)
+	if err != nil {
 		return res, fmt.Errorf("%s: %w", key, err)
 	}
-	r.storePut(key, fp, ob, res)
+	r.storePut(key, fp, artifacts, res)
 	return res, nil
 }
 

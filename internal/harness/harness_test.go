@@ -144,9 +144,6 @@ func TestConfigDefaults(t *testing.T) {
 	if c.waves() != 2 {
 		t.Errorf("default waves = %d, want 2", c.waves())
 	}
-	if c.throttlePeriod() != 10_000 {
-		t.Errorf("default throttle period = %d, want 10000", c.throttlePeriod())
-	}
 	if !c.subset() {
 		t.Error("default subset should be true")
 	}

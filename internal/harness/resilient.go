@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"mtprefetch/internal/core"
-	"mtprefetch/internal/obs"
 	"mtprefetch/internal/simerr"
 	"mtprefetch/internal/store"
 )
@@ -242,20 +241,17 @@ func (r *runner) storeGet(key, fp string) (res *core.Result, ok bool, err error)
 	return e.Result, true, nil
 }
 
-// storePut commits a completed run, retrying transient commit faults
-// on the same seeded backoff schedule as run retries. A commit that
-// stays failed degrades the store (visible on /healthz and /store) but
-// never the run: the result is already in hand.
-func (r *runner) storePut(key, fp string, ob *obs.Observer, res *core.Result) {
+// storePut commits a completed run with the sink artifacts Finish
+// rendered for it, retrying transient commit faults on the same seeded
+// backoff schedule as run retries. A commit that stays failed degrades
+// the store (visible on /healthz and /store) but never the run: the
+// result is already in hand.
+func (r *runner) storePut(key, fp string, artifacts map[string][]byte, res *core.Result) {
 	if fp == "" {
 		return
 	}
-	artifacts, err := r.c.Obs.Capture(key, ob)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "harness: %v (run not committed to store)\n", err)
-		return
-	}
 	e := &store.Entry{Key: key, Fingerprint: fp, Result: res, Artifacts: artifacts}
+	var err error
 	for try := 0; ; try++ {
 		err = r.c.Store.Put(e)
 		if err == nil || !simerr.IsTransient(err) || try >= r.c.retries() || r.c.Lifecycle.Draining() {

@@ -1,5 +1,5 @@
-// Package obs is the simulator's cycle-level observability layer. It has
-// three cooperating pieces:
+// Package obs is the simulator's cycle-level observability layer. One
+// Observer bundles a run's pieces; Config enables each but the Registry:
 //
 //   - a metrics Registry of named counters, gauges, and histograms,
 //     labelled by core and component. Components register pointers to
@@ -15,10 +15,24 @@
 //     events (prefetch issued/dropped, throttle transitions, early
 //     evictions, stride promotions) exported as Chrome trace-event JSON
 //     loadable in Perfetto or chrome://tracing, one track per core.
+//   - a PFReport: per-(source, PC) prefetch provenance and lifecycle
+//     outcomes, with conservation checks (pfreport.go).
+//   - a CPIStack: per-core cycle accounting in which every core-cycle
+//     lands in exactly one loss bucket, with an epoch time series and
+//     latency-tolerance snapshots (cpistack.go).
+//   - a SpanSet: a deterministic sample of memory requests stamped at
+//     every stage of their lifecycle, aggregated into per-stage latency
+//     histograms (span.go).
 //
-// Everything is nil-safe: a nil *Registry, *Sampler, *Tracer, or *Sink
-// accepts every call and does nothing, so instrumentation sites never
-// need to branch and a disabled run pays only a nil check.
+// A Sink (sink.go) fans many runs' observers into shared output files:
+// the four JSONL streams (metrics, pfreport, cpistack, spans) and one
+// Chrome trace, and returns each run's rendered streams for the result
+// store.
+//
+// Everything is nil-safe: a nil *Registry, *Sampler, *Tracer, *PFReport,
+// *CPIStack, *SpanSet, or *Sink accepts every call and does nothing, so
+// instrumentation sites never need to branch and a disabled run pays
+// only a nil check.
 package obs
 
 // Config selects which observability pieces a run gets.

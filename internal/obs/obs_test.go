@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"mtprefetch/internal/memreq"
 	"mtprefetch/internal/stats"
 )
 
@@ -213,7 +214,7 @@ func TestSinkDisabled(t *testing.T) {
 	if s.Observer() != nil {
 		t.Error("nil sink must hand out nil observers")
 	}
-	if err := s.Finish("k", nil); err != nil {
+	if _, err := s.Finish("k", nil); err != nil {
 		t.Error(err)
 	}
 	if err := s.Close(); err != nil {
@@ -242,7 +243,7 @@ func TestSinkMultiRun(t *testing.T) {
 		n = 100
 		o.Sampler.Tick(50)
 		o.Tracer.Emit(EvPrefetchIssued, 10, 0, 0x40, 1)
-		if err := s.Finish("run"+string(rune('A'+run)), o); err != nil {
+		if _, err := s.Finish("run"+string(rune('A'+run)), o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -278,6 +279,69 @@ func sinkObserver(s *Sink, cycles uint64) *Observer {
 	return o
 }
 
+// TestSinkFinishArtifactsMatchFiles pins the render-once contract the
+// result store relies on: the blobs Finish hands back are byte for byte
+// what it appended to each stream's file (a repeated key appends
+// nothing but still gets them), and replaying them through FinishStored
+// into a second sink reproduces every file.
+func TestSinkFinishArtifactsMatchFiles(t *testing.T) {
+	var live, replay [len(jsonlStreams)]bytes.Buffer
+	newSink := func(b *[len(jsonlStreams)]bytes.Buffer) *Sink {
+		s, err := NewSink(&b[0], nil, &b[1], &b[2], &b[3], Config{SampleEvery: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	ls, rs := newSink(&live), newSink(&replay)
+	for run := 0; run < 2; run++ {
+		key := fmt.Sprintf("run-%d", run)
+		o := sinkObserver(ls, uint64(20*(run+1)))
+		issueOne(o.PF, memreq.SrcPWS, int32(4+run), memreq.OutUseful)
+		fill(o.CPI, 0, map[Bucket]uint64{BucketIssued: 6, BucketScoreboard: uint64(run)})
+		r := startSampled(t, o.Spans, 1, 2, 100)
+		o.Spans.Finish(r, stampFill(r, 100), memreq.TermFill)
+
+		var before [len(jsonlStreams)]int
+		for i := range live {
+			before[i] = live[i].Len()
+		}
+		arts, err := ls.Finish(key, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range jsonlStreams {
+			wrote := live[i].Bytes()[before[i]:]
+			if len(wrote) == 0 {
+				t.Errorf("%s: %s wrote nothing", key, st.name)
+			}
+			if !bytes.Equal(arts[st.name], wrote) {
+				t.Errorf("%s: %s artifact %q differs from the written %q", key, st.name, arts[st.name], wrote)
+			}
+		}
+		again, err := ls.Finish(key, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range jsonlStreams {
+			if live[i].Len() != before[i]+len(arts[st.name]) {
+				t.Errorf("%s: repeated Finish appended to %s", key, st.name)
+			}
+			if !bytes.Equal(again[st.name], arts[st.name]) {
+				t.Errorf("%s: repeated Finish returned different %s bytes", key, st.name)
+			}
+		}
+		if err := rs.FinishStored(key, arts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, st := range jsonlStreams {
+		if !bytes.Equal(replay[i].Bytes(), live[i].Bytes()) {
+			t.Errorf("%s: replayed file differs from the live one:\n%s\nvs\n%s", st.name, replay[i].Bytes(), live[i].Bytes())
+		}
+	}
+}
+
 func TestSinkConcurrentFinish(t *testing.T) {
 	var mbuf, tbuf bytes.Buffer
 	s, err := NewSink(&mbuf, &tbuf, nil, nil, nil, Config{SampleEvery: 10})
@@ -292,7 +356,7 @@ func TestSinkConcurrentFinish(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			o := sinkObserver(s, uint64(10*(i+1)))
-			errs[i] = s.Finish(fmt.Sprintf("run-%02d", i), o)
+			_, errs[i] = s.Finish(fmt.Sprintf("run-%02d", i), o)
 		}(i)
 	}
 	wg.Wait()
@@ -340,7 +404,7 @@ func TestSinkFinishIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := s.Finish("same-key", sinkObserver(s, 20)); err != nil {
+		if _, err := s.Finish("same-key", sinkObserver(s, 20)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -373,7 +437,7 @@ func TestSinkFinishAfterCloseIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := tbuf.String()
-	if err := s.Finish("late", sinkObserver(s, 20)); err != nil {
+	if _, err := s.Finish("late", sinkObserver(s, 20)); err != nil {
 		t.Fatal(err)
 	}
 	if tbuf.String() != before || mbuf.Len() != 0 {

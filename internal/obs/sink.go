@@ -7,16 +7,38 @@ import (
 	"sync"
 )
 
-// Sink fans a sequence of simulation runs into shared output files: a
-// JSONL metrics file (one line per run per epoch) and a single Chrome
-// trace file in which each run is one process. The experiment harness
-// holds one Sink per invocation and attaches an Observer to every
-// simulation it launches.
+// jsonlStreams lists the per-run JSONL streams in output order: each
+// one's artifact name in a stored run, and how it renders a finished
+// run's observer into w (ok is false when the observer kept no record
+// of the stream).
+var jsonlStreams = [...]struct {
+	name   string
+	render func(o *Observer, w io.Writer, runKey string) (ok bool, err error)
+}{
+	{"metrics", func(o *Observer, w io.Writer, runKey string) (bool, error) {
+		return o.Sampler != nil, o.Sampler.WriteJSONL(w, map[string]string{"run": runKey})
+	}},
+	{"pfreport", func(o *Observer, w io.Writer, runKey string) (bool, error) {
+		return o.PF != nil, o.PF.WriteJSONL(w, runKey)
+	}},
+	{"cpistack", func(o *Observer, w io.Writer, runKey string) (bool, error) {
+		return o.CPI != nil, o.CPI.WriteJSONL(w, runKey)
+	}},
+	{"spans", func(o *Observer, w io.Writer, runKey string) (bool, error) {
+		return o.Spans != nil, o.Spans.WriteJSONL(w, runKey)
+	}},
+}
+
+// Sink fans a sequence of simulation runs into shared output files: one
+// file per JSONL stream (metrics, pfreport, cpistack, spans; one record
+// set per run) and a single Chrome trace file in which each run is one
+// process. The experiment harness holds one Sink per invocation and
+// attaches an Observer to every simulation it launches.
 //
 // Sink is safe for concurrent use: the parallel harness finishes runs
-// from many goroutines. Each run's metrics lines are buffered and
-// flushed as one atomic write, and its trace events are appended under
-// the sink lock, so concurrent runs never interleave inside each
+// from many goroutines. Each run's streams are rendered into buffers and
+// each buffer is flushed as one write, and its trace events are appended
+// under the sink lock, so concurrent runs never interleave inside each
 // other's records. Finish is idempotent per run key — a retried or
 // duplicated completion records nothing the second time.
 //
@@ -26,15 +48,12 @@ import (
 type Sink struct {
 	cfg Config
 
-	mu       sync.Mutex
-	metrics  io.Writer
-	trace    *TraceWriter
-	pfreport io.Writer
-	cpistack io.Writer
-	spans    io.Writer
-	runs     int
-	done     map[string]bool
-	closed   bool
+	mu     sync.Mutex
+	jsonl  [len(jsonlStreams)]io.Writer // indexed like jsonlStreams; nil disables a stream
+	trace  *TraceWriter
+	runs   int
+	done   map[string]bool
+	closed bool
 }
 
 // NewSink builds a sink. metrics, trace, pfreport, cpistack, and spans
@@ -44,7 +63,7 @@ func NewSink(metrics, trace, pfreport, cpistack, spans io.Writer, cfg Config) (*
 	if metrics == nil && trace == nil && pfreport == nil && cpistack == nil && spans == nil {
 		return nil, nil
 	}
-	s := &Sink{cfg: cfg, metrics: metrics, pfreport: pfreport, cpistack: cpistack, spans: spans, done: make(map[string]bool)}
+	s := &Sink{cfg: cfg, jsonl: [...]io.Writer{metrics, pfreport, cpistack, spans}, done: make(map[string]bool)}
 	if metrics == nil {
 		s.cfg.SampleEvery = 0
 	}
@@ -84,17 +103,10 @@ func (s *Sink) Streams() []string {
 		return nil
 	}
 	var out []string
-	if s.metrics != nil {
-		out = append(out, "metrics")
-	}
-	if s.pfreport != nil {
-		out = append(out, "pfreport")
-	}
-	if s.cpistack != nil {
-		out = append(out, "cpistack")
-	}
-	if s.spans != nil {
-		out = append(out, "spans")
+	for i, w := range s.jsonl {
+		if w != nil {
+			out = append(out, jsonlStreams[i].name)
+		}
 	}
 	return out
 }
@@ -106,47 +118,41 @@ func (s *Sink) Streams() []string {
 // complete.
 func (s *Sink) NeedsLive() bool { return s != nil && s.trace != nil }
 
-// Capture renders one finished run's enabled JSONL streams into named
-// artifact blobs — byte-for-byte what Finish appends to the shared
-// files — for committing alongside the Result in a persistent store.
-// A nil sink or observer captures nothing.
-func (s *Sink) Capture(runKey string, o *Observer) (map[string][]byte, error) {
-	if s == nil || o == nil {
-		return nil, nil
-	}
+// render renders one finished run's enabled JSONL streams into named
+// artifact blobs. A stream the observer kept no record of has no blob.
+func (s *Sink) render(runKey string, o *Observer) (map[string][]byte, error) {
 	out := make(map[string][]byte)
-	if s.metrics != nil && o.Sampler != nil {
-		var buf bytes.Buffer
-		if err := o.Sampler.WriteJSONL(&buf, map[string]string{"run": runKey}); err != nil {
-			return nil, fmt.Errorf("obs: capture metrics for %s: %w", runKey, err)
+	for i, st := range jsonlStreams {
+		if s.jsonl[i] == nil {
+			continue
 		}
-		out["metrics"] = buf.Bytes()
-	}
-	if s.pfreport != nil && o.PF != nil {
 		var buf bytes.Buffer
-		if err := o.PF.WriteJSONL(&buf, runKey); err != nil {
-			return nil, fmt.Errorf("obs: capture pfreport for %s: %w", runKey, err)
+		ok, err := st.render(o, &buf, runKey)
+		if err != nil {
+			return nil, fmt.Errorf("obs: %s for %s: %w", st.name, runKey, err)
 		}
-		out["pfreport"] = buf.Bytes()
-	}
-	if s.cpistack != nil && o.CPI != nil {
-		var buf bytes.Buffer
-		if err := o.CPI.WriteJSONL(&buf, runKey); err != nil {
-			return nil, fmt.Errorf("obs: capture cpistack for %s: %w", runKey, err)
+		if ok {
+			out[st.name] = buf.Bytes()
 		}
-		out["cpistack"] = buf.Bytes()
-	}
-	if s.spans != nil && o.Spans != nil {
-		var buf bytes.Buffer
-		if err := o.Spans.WriteJSONL(&buf, runKey); err != nil {
-			return nil, fmt.Errorf("obs: capture spans for %s: %w", runKey, err)
-		}
-		out["spans"] = buf.Bytes()
 	}
 	return out, nil
 }
 
-// FinishStored records a run from previously captured artifacts — the
+// write appends a run's artifact blobs to the files of the streams this
+// sink records. The caller holds s.mu.
+func (s *Sink) write(runKey string, artifacts map[string][]byte) error {
+	for i, w := range s.jsonl {
+		name := jsonlStreams[i].name
+		if b := artifacts[name]; w != nil && len(b) > 0 {
+			if _, err := w.Write(b); err != nil {
+				return fmt.Errorf("obs: %s for %s: %w", name, runKey, err)
+			}
+		}
+	}
+	return nil
+}
+
+// FinishStored records a run from previously rendered artifacts — the
 // store-hit path — under the same per-key idempotency and post-Close
 // inertness as Finish. Only streams this sink has enabled are written;
 // the caller guarantees those are present (store.Get's need parameter).
@@ -160,53 +166,45 @@ func (s *Sink) FinishStored(runKey string, artifacts map[string][]byte) error {
 		return nil
 	}
 	s.done[runKey] = true
-	for _, st := range []struct {
-		name string
-		w    io.Writer
-	}{{"metrics", s.metrics}, {"pfreport", s.pfreport}, {"cpistack", s.cpistack}, {"spans", s.spans}} {
-		if st.w == nil {
-			continue
-		}
-		if b, ok := artifacts[st.name]; ok && len(b) > 0 {
-			if _, err := st.w.Write(b); err != nil {
-				return fmt.Errorf("obs: stored %s for %s: %w", st.name, runKey, err)
-			}
-		}
+	if err := s.write(runKey, artifacts); err != nil {
+		return err
 	}
 	s.runs++
 	return nil
 }
 
-// Finish flushes one completed run's observer into the shared files,
-// tagging its metrics lines and trace process with the run key. A key
-// that was already recorded (or a Finish after Close) is a no-op, so
-// memoised runs are recorded exactly once, under the key of their first
-// completed execution.
-func (s *Sink) Finish(runKey string, o *Observer) error {
+// Finish renders one completed run's observer and records it into the
+// shared files, tagging its JSONL records and trace process with the
+// run key. A key that was already recorded (or a Finish after Close)
+// records nothing, so memoised runs are recorded exactly once, under the
+// key of their first completed execution.
+//
+// Either way Finish returns the run's rendered JSONL streams as named
+// artifact blobs — byte for byte what it appends, or would append, to
+// each stream's file — for committing alongside the Result in a
+// persistent store, from which FinishStored replays them.
+func (s *Sink) Finish(runKey string, o *Observer) (map[string][]byte, error) {
 	if s == nil || o == nil {
-		return nil
+		return nil, nil
+	}
+	artifacts, err := s.render(runKey, o)
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.done[runKey] {
-		return nil
+		return artifacts, nil
 	}
 	// Mark before writing: a failed write aborts the harness, and a
 	// retry must not append a second partial record to the shared files.
 	s.done[runKey] = true
-	if s.metrics != nil && o.Sampler != nil {
-		var buf bytes.Buffer
-		meta := map[string]string{"run": runKey}
-		if err := o.Sampler.WriteJSONL(&buf, meta); err != nil {
-			return fmt.Errorf("obs: metrics for %s: %w", runKey, err)
-		}
-		if _, err := s.metrics.Write(buf.Bytes()); err != nil {
-			return fmt.Errorf("obs: metrics for %s: %w", runKey, err)
-		}
+	if err := s.write(runKey, artifacts); err != nil {
+		return nil, err
 	}
 	if s.trace != nil && o.Tracer != nil {
 		if err := s.trace.AddRun(s.runs, runKey, "core", o.Tracer); err != nil {
-			return fmt.Errorf("obs: trace for %s: %w", runKey, err)
+			return nil, fmt.Errorf("obs: trace for %s: %w", runKey, err)
 		}
 	}
 	if s.trace != nil && o.Spans != nil {
@@ -214,38 +212,11 @@ func (s *Sink) Finish(runKey string, o *Observer) error {
 		// ring: enabling spans changes nothing in the ring, it only
 		// appends this extra flow section per run.
 		if err := s.trace.AddSpanFlows(s.runs, o.Spans); err != nil {
-			return fmt.Errorf("obs: span flows for %s: %w", runKey, err)
-		}
-	}
-	if s.pfreport != nil && o.PF != nil {
-		var buf bytes.Buffer
-		if err := o.PF.WriteJSONL(&buf, runKey); err != nil {
-			return fmt.Errorf("obs: pfreport for %s: %w", runKey, err)
-		}
-		if _, err := s.pfreport.Write(buf.Bytes()); err != nil {
-			return fmt.Errorf("obs: pfreport for %s: %w", runKey, err)
-		}
-	}
-	if s.cpistack != nil && o.CPI != nil {
-		var buf bytes.Buffer
-		if err := o.CPI.WriteJSONL(&buf, runKey); err != nil {
-			return fmt.Errorf("obs: cpistack for %s: %w", runKey, err)
-		}
-		if _, err := s.cpistack.Write(buf.Bytes()); err != nil {
-			return fmt.Errorf("obs: cpistack for %s: %w", runKey, err)
-		}
-	}
-	if s.spans != nil && o.Spans != nil {
-		var buf bytes.Buffer
-		if err := o.Spans.WriteJSONL(&buf, runKey); err != nil {
-			return fmt.Errorf("obs: spans for %s: %w", runKey, err)
-		}
-		if _, err := s.spans.Write(buf.Bytes()); err != nil {
-			return fmt.Errorf("obs: spans for %s: %w", runKey, err)
+			return nil, fmt.Errorf("obs: span flows for %s: %w", runKey, err)
 		}
 	}
 	s.runs++
-	return nil
+	return artifacts, nil
 }
 
 // Close finalizes the trace file's JSON array. Later Finish calls are
