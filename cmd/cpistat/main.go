@@ -65,9 +65,10 @@ type coreRow struct {
 	buckets [obs.NumBuckets]uint64
 }
 
-// runAgg accumulates one run's CPI stack.
+// runAgg accumulates one run's CPI stack. Rows are keyed by core id, so
+// memory follows the records read rather than the largest id.
 type runAgg struct {
-	cores  []coreRow
+	cores  map[int]coreRow
 	totals [obs.NumBuckets]uint64
 }
 
@@ -96,18 +97,20 @@ func (a *aggregate) line(p statcli.Probe, line []byte) error {
 	if err := json.Unmarshal(line, &rec); err != nil {
 		return fmt.Errorf("bad JSONL line: %w", err)
 	}
+	if rec.Core < 0 {
+		return fmt.Errorf("bad cpistack line: negative core %d", rec.Core)
+	}
 	ra := a.runs[rec.Run]
 	if ra == nil {
-		ra = &runAgg{}
+		ra = &runAgg{cores: make(map[int]coreRow)}
 		a.runs[rec.Run] = ra
 	}
-	for len(ra.cores) <= rec.Core {
-		ra.cores = append(ra.cores, coreRow{})
-	}
+	row := ra.cores[rec.Core]
 	for b, v := range rec.buckets() {
-		ra.cores[rec.Core].buckets[b] += v
+		row.buckets[b] += v
 		ra.totals[b] += v
 	}
+	ra.cores[rec.Core] = row
 	return nil
 }
 
@@ -196,8 +199,14 @@ func (a *aggregate) writeByCore(w io.Writer) error {
 		if _, err := fmt.Fprintln(w); err != nil {
 			return err
 		}
-		for i, c := range ra.cores {
-			if _, err := fmt.Fprintf(w, "%-5d %14d", i, sum(c.buckets)); err != nil {
+		ids := make([]int, 0, len(ra.cores))
+		for id := range ra.cores {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		for _, id := range ids {
+			c := ra.cores[id]
+			if _, err := fmt.Fprintf(w, "%-5d %14d", id, sum(c.buckets)); err != nil {
 				return err
 			}
 			for _, v := range c.buckets {
@@ -213,6 +222,18 @@ func (a *aggregate) writeByCore(w io.Writer) error {
 	return nil
 }
 
+// render writes the per-run summary and, with byCore, the raw per-core
+// bucket counts.
+func (a *aggregate) render(w io.Writer, byCore bool) error {
+	if err := a.writeSummary(w); err != nil {
+		return err
+	}
+	if byCore {
+		return a.writeByCore(w)
+	}
+	return nil
+}
+
 func main() {
 	var byCore *bool
 	agg := newAggregate()
@@ -224,16 +245,8 @@ func main() {
 		Flags: func(fs *flag.FlagSet) {
 			byCore = fs.Bool("bycore", false, "additionally print raw per-core bucket counts")
 		},
-		Line:  agg.line,
-		Empty: agg.empty,
-		Render: func(w io.Writer) error {
-			if err := agg.writeSummary(w); err != nil {
-				return err
-			}
-			if *byCore {
-				return agg.writeByCore(w)
-			}
-			return nil
-		},
+		Line:   agg.line,
+		Empty:  agg.empty,
+		Render: func(w io.Writer) error { return agg.render(w, *byCore) },
 	})
 }

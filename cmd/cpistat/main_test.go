@@ -2,9 +2,16 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"os"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
+
+	"mtprefetch/internal/harness"
+	"mtprefetch/internal/obs"
 )
 
 // sample JSONL covering two runs of a two-core and a one-core config,
@@ -154,5 +161,80 @@ func TestAggregateLongLines(t *testing.T) {
 	}
 	if agg.runs[longRun] == nil {
 		t.Error("long-named run not aggregated")
+	}
+}
+
+// TestAggregateRejectsNegativeCore is the regression test for the
+// index-out-of-range panic a negative core id used to cause: malformed
+// input is an error, never a crash.
+func TestAggregateRejectsNegativeCore(t *testing.T) {
+	agg := newAggregate()
+	in := `{"record":"cpistack","run":"x","core":-1,"cycles":1,"issued":1}` + "\n"
+	if err := agg.read(strings.NewReader(in), nil); err == nil {
+		t.Fatal("negative core accepted")
+	}
+}
+
+// TestAggregateSparseCoreIDs is the regression test for per-core rows
+// sized by the largest core id: one record with a huge id grew a dense
+// slice to that many rows. Memory must follow the records read.
+func TestAggregateSparseCoreIDs(t *testing.T) {
+	in := fmt.Sprintf(`{"record":"cpistack","run":"x","core":%d,"cycles":1,"issued":1}`+"\n", 1<<20)
+	agg := newAggregate()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := agg.read(strings.NewReader(in), nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("one record with core %d allocated %d bytes, want < 1 MiB", 1<<20, n)
+	}
+	if ra := agg.runs["x"]; ra == nil || len(ra.cores) != 1 {
+		t.Error("run x not aggregated into exactly one core row")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite ci/cpistat-gstable.golden from this run")
+
+// TestGSTableGolden renders the GS-table sweep's CPI-stack stream through
+// cpistat and diffs it against ci/cpistat-gstable.golden. The sweep is
+// `mtpref -waves 1 -cpistack FILE run gstable` run in-process; after a
+// deliberate output change, rerun with -update and review the golden
+// diff.
+func TestGSTableGolden(t *testing.T) {
+	var stream bytes.Buffer
+	sink, err := obs.NewSink(nil, nil, nil, &stream, nil, obs.Config{SampleEvery: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := harness.ByID("gstable").Run(harness.Config{Waves: 1, Obs: sink}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	agg := newAggregate()
+	if err := agg.read(&stream, nil); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := agg.render(&got, false); err != nil {
+		t.Fatal(err)
+	}
+	const golden = "../../ci/cpistat-gstable.golden"
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("cpistat output differs from %s (rerun with -update after a deliberate change):\n--- got ---\n%s--- want ---\n%s",
+			golden, got.Bytes(), want)
 	}
 }

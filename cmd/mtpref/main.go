@@ -42,7 +42,8 @@
 //	                -cpistack epochs (default 10000)
 //	-crashdir DIR   write a per-run crash-dump bundle for every failed simulation
 //	-noskip         visit every cycle instead of event-driven skipping (slower;
-//	                output is byte-identical either way — CI enforces it)
+//	                output is byte-identical either way —
+//	                TestCycleSkipDeterminism enforces it)
 //	-store DIR      persist every completed run in a crash-safe
 //	                content-addressed result store under DIR; reruns and
 //	                resumed sweeps serve matching runs from disk
@@ -410,8 +411,9 @@ func runOne(e *harness.Experiment, cfg harness.Config, csvDir string) error {
 		}
 	}
 	if err != nil {
-		// "with failed runs" keeps the CI determinism gate's
-		// "completed in ..." normalisation from matching a degraded run.
+		// "with failed runs" keeps the "completed in ..." normalisation
+		// of scripts/store_chaos.sh and bench/ from matching a degraded
+		// run.
 		fmt.Printf("[%s completed with failed runs in %s]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		return fmt.Errorf("%s: %w", e.ID, err)
 	}

@@ -215,6 +215,19 @@ func mean(sum, n uint64) string {
 	return fmt.Sprintf("%.2f", float64(sum)/float64(n))
 }
 
+// render writes the per-source rollup and, with byPC, the
+// per-(source, PC) breakdown.
+func (a *aggregate) render(w io.Writer, byPC bool) error {
+	if err := a.writeSummary(w); err != nil {
+		return err
+	}
+	if byPC {
+		fmt.Fprintln(w)
+		return a.rep.WriteTable(w)
+	}
+	return nil
+}
+
 func main() {
 	var byPC *bool
 	agg := newAggregate()
@@ -226,17 +239,8 @@ func main() {
 		Flags: func(fs *flag.FlagSet) {
 			byPC = fs.Bool("bypc", false, "additionally print the per-(source, PC) breakdown")
 		},
-		Line:  agg.line,
-		Empty: agg.empty,
-		Render: func(w io.Writer) error {
-			if err := agg.writeSummary(w); err != nil {
-				return err
-			}
-			if *byPC {
-				fmt.Fprintln(w)
-				return agg.rep.WriteTable(w)
-			}
-			return nil
-		},
+		Line:   agg.line,
+		Empty:  agg.empty,
+		Render: func(w io.Writer) error { return agg.render(w, *byPC) },
 	})
 }

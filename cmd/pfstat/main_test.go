@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"regexp"
 	"strings"
 	"testing"
+
+	"mtprefetch/internal/harness"
+	"mtprefetch/internal/obs"
 )
 
 // sample JSONL covering two runs: a stride-RPT hardware run and an
@@ -155,5 +160,49 @@ func TestAggregateLongLines(t *testing.T) {
 	}
 	if !agg.runs[longRun] {
 		t.Error("long-named run not aggregated")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite ci/pfstat-gstable.golden from this run")
+
+// TestGSTableGolden renders the GS-table sweep's prefetch attribution stream through
+// pfstat -bypc and diffs it against ci/pfstat-gstable.golden. The sweep is
+// `mtpref -waves 1 -pfreport FILE run gstable` run in-process; after a
+// deliberate output change, rerun with -update and review the golden
+// diff.
+func TestGSTableGolden(t *testing.T) {
+	var stream bytes.Buffer
+	sink, err := obs.NewSink(nil, nil, &stream, nil, nil, obs.Config{SampleEvery: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := harness.ByID("gstable").Run(harness.Config{Waves: 1, Obs: sink}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	agg := newAggregate()
+	if err := agg.read(&stream, nil); err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := agg.render(&got, true); err != nil {
+		t.Fatal(err)
+	}
+	const golden = "../../ci/pfstat-gstable.golden"
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("pfstat -bypc output differs from %s (rerun with -update after a deliberate change):\n--- got ---\n%s--- want ---\n%s",
+			golden, got.Bytes(), want)
 	}
 }

@@ -175,6 +175,30 @@ func writeTable(w io.Writer, perSrc map[string]*srcAgg) error {
 	return nil
 }
 
+// render writes the cross-run waterfall and, with byRun, one waterfall
+// per run.
+func (a *aggregate) render(w io.Writer, byRun bool) error {
+	if _, err := fmt.Fprintf(w, "%d run(s), %d sampled span(s)\n",
+		len(a.perRun), a.spans); err != nil {
+		return err
+	}
+	if err := writeTable(w, a.perSrc); err != nil {
+		return err
+	}
+	if !byRun {
+		return nil
+	}
+	for _, run := range sortedKeys(a.perRun) {
+		if _, err := fmt.Fprintf(w, "\n%s\n", run); err != nil {
+			return err
+		}
+		if err := writeTable(w, a.perRun[run]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func main() {
 	var byRun *bool
 	agg := newAggregate()
@@ -186,28 +210,8 @@ func main() {
 		Flags: func(fs *flag.FlagSet) {
 			byRun = fs.Bool("byrun", false, "additionally print one waterfall table per run")
 		},
-		Line:  agg.line,
-		Empty: agg.empty,
-		Render: func(w io.Writer) error {
-			if _, err := fmt.Fprintf(w, "%d run(s), %d sampled span(s)\n",
-				len(agg.perRun), agg.spans); err != nil {
-				return err
-			}
-			if err := writeTable(w, agg.perSrc); err != nil {
-				return err
-			}
-			if !*byRun {
-				return nil
-			}
-			for _, run := range sortedKeys(agg.perRun) {
-				if _, err := fmt.Fprintf(w, "\n%s\n", run); err != nil {
-					return err
-				}
-				if err := writeTable(w, agg.perRun[run]); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
+		Line:   agg.line,
+		Empty:  agg.empty,
+		Render: func(w io.Writer) error { return agg.render(w, *byRun) },
 	})
 }

@@ -58,7 +58,7 @@ func runStreams(t *testing.T, o Options, noskip, spans bool) (*Result, map[strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.AddRun(1, "run", "core", oo.Obs.Tracer); err != nil {
+	if err := tw.AddRun(1, "run", oo.Obs.Tracer); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {

@@ -95,12 +95,6 @@ func (f *FaultFS) Remove(path string) error { return f.Inner.Remove(path) }
 // CorruptReadN relative to the present.
 func (f *FaultFS) Reads() int64 { return f.reads.Load() }
 
-// Writes reports how many WriteFile calls have been attempted.
-func (f *FaultFS) Writes() int64 { return f.writes.Load() }
-
-// Renames reports how many Rename calls have been attempted.
-func (f *FaultFS) Renames() int64 { return f.renames.Load() }
-
 // FlakeRun is a core.FaultInjector that aborts a simulation with a
 // typed transient error (simerr.IsTransient) at a fixed cycle for its
 // first Fails runs, then injects nothing — the canonical "retry

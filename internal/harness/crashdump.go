@@ -101,7 +101,7 @@ func writeTrace(path, key string, t *obs.Tracer) error {
 	}
 	tw, err := obs.NewTraceWriter(f)
 	if err == nil {
-		err = tw.AddRun(0, key, "core", t)
+		err = tw.AddRun(0, key, t)
 	}
 	if err == nil {
 		err = tw.Close()

@@ -59,8 +59,8 @@ type Config struct {
 	CrashDir string
 	// NoCycleSkip forces every simulation to visit every cycle instead
 	// of event-driven skipping (core.Options.NoCycleSkip). Tables are
-	// byte-identical either way; the CLI's -noskip flag and CI's
-	// differential gate rely on that.
+	// byte-identical either way (TestCycleSkipDeterminism); the CLI's
+	// -noskip flag relies on that.
 	NoCycleSkip bool
 	// Debug, when non-nil, receives per-run progress and end-of-run
 	// registry snapshots for live introspection over HTTP (cmd/mtpref's
@@ -443,11 +443,6 @@ func (r *runner) softwareF(s *workload.Spec, m swpref.Mode, throttle bool) *futu
 	})
 }
 
-// software is the synchronous form of softwareF.
-func (r *runner) software(s *workload.Spec, m swpref.Mode, throttle bool) (*core.Result, error) {
-	return r.softwareF(s, m, throttle).wait()
-}
-
 // hardwareF submits a hardware-prefetching configuration.
 func (r *runner) hardwareF(s *workload.Spec, name string, f func() prefetch.Prefetcher, throttle bool) *future {
 	key := fmt.Sprintf("hw/%s/%s/%v", s.Name, name, throttle)
@@ -457,11 +452,6 @@ func (r *runner) hardwareF(s *workload.Spec, name string, f func() prefetch.Pref
 		Hardware: f,
 		Throttle: throttle,
 	})
-}
-
-// hardware is the synchronous form of hardwareF.
-func (r *runner) hardware(s *workload.Spec, name string, f func() prefetch.Prefetcher, throttle bool) (*core.Result, error) {
-	return r.hardwareF(s, name, f, throttle).wait()
 }
 
 // suite returns the memory-intensive benchmarks in Table III order.
@@ -575,13 +565,4 @@ func geomeanColumn(rows [][]float64, col int) float64 {
 		return math.NaN()
 	}
 	return stats.Geomean(xs)
-}
-
-// classOrder renders benchmarks grouped stride -> mp -> uncoal, the
-// grouping the paper's figures use.
-func classOrder(specs []*workload.Spec) []*workload.Spec {
-	out := make([]*workload.Spec, len(specs))
-	copy(out, specs)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Class < out[j].Class })
-	return out
 }

@@ -88,26 +88,44 @@ func TestRunnerSingleflight(t *testing.T) {
 	}
 }
 
-func TestParallelDeterminism(t *testing.T) {
-	// The determinism guarantee: tables are byte-identical at any worker
-	// count, because experiments assemble rows from futures in
-	// registration order. table4 covers three runs per benchmark.
-	render := func(workers int) string {
-		sub := true
-		tables, err := ByID("table4").Run(Config{Waves: 1, Subset: &sub, Workers: workers})
+// renderExperiments runs the experiments under c and concatenates their
+// rendered tables, the bytes mtpref prints for them.
+func renderExperiments(t *testing.T, c Config, ids ...string) string {
+	t.Helper()
+	var b strings.Builder
+	for _, id := range ids {
+		tables, err := ByID(id).Run(c)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("%s: %v", id, err)
 		}
-		var b strings.Builder
 		for _, tb := range tables {
 			b.WriteString(tb.String())
 		}
-		return b.String()
 	}
-	seq := render(1)
-	par := render(8)
+	return b.String()
+}
+
+func TestParallelDeterminism(t *testing.T) {
+	// The determinism guarantee: tables are byte-identical at any worker
+	// count, because experiments assemble rows from futures in
+	// registration order. table4 covers three runs per benchmark,
+	// table3 the baseline and perfect-memory suite, gstable MT-HWP.
+	ids := []string{"table4", "table3", "gstable"}
+	seq := renderExperiments(t, Config{Waves: 1, Workers: 1}, ids...)
+	par := renderExperiments(t, Config{Waves: 1, Workers: 8}, ids...)
 	if seq != par {
-		t.Errorf("table4 output differs between -j 1 and -j 8:\n--- j1 ---\n%s\n--- j8 ---\n%s", seq, par)
+		t.Errorf("%v output differs between -j 1 and -j 8:\n--- j1 ---\n%s\n--- j8 ---\n%s", ids, seq, par)
+	}
+}
+
+func TestCycleSkipDeterminism(t *testing.T) {
+	// Event-driven cycle skipping must not change any table: the same
+	// sweep with NoCycleSkip (mtpref -noskip) renders identical bytes.
+	ids := []string{"table3", "gstable", "fig12"}
+	skip := renderExperiments(t, Config{Waves: 1}, ids...)
+	noSkip := renderExperiments(t, Config{Waves: 1, NoCycleSkip: true}, ids...)
+	if skip != noSkip {
+		t.Errorf("%v output differs between skipping and -noskip:\n--- skip ---\n%s\n--- noskip ---\n%s", ids, skip, noSkip)
 	}
 }
 

@@ -236,7 +236,7 @@ func TestCPIStackEmitsCounterEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.AddRun(0, "run", "core", tr); err != nil {
+	if err := tw.AddRun(0, "run", tr); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

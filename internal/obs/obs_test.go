@@ -172,7 +172,7 @@ func TestChromeTraceValidJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tw.AddRun(0, "unit-run", "core", tr); err != nil {
+	if err := tw.AddRun(0, "unit-run", tr); err != nil {
 		t.Fatal(err)
 	}
 	if err := tw.Close(); err != nil {

@@ -203,7 +203,7 @@ func (s *Sink) Finish(runKey string, o *Observer) (map[string][]byte, error) {
 		return nil, err
 	}
 	if s.trace != nil && o.Tracer != nil {
-		if err := s.trace.AddRun(s.runs, runKey, "core", o.Tracer); err != nil {
+		if err := s.trace.AddRun(s.runs, runKey, o.Tracer); err != nil {
 			return nil, fmt.Errorf("obs: trace for %s: %w", runKey, err)
 		}
 	}

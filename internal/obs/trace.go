@@ -36,9 +36,6 @@ const (
 	// EvStridePromotion: MT-HWP promoted a (PC, stride) pair into the GS
 	// table. Arg = PC, Arg2 = stride.
 	EvStridePromotion
-	// EvDemandAccess: offline replay only — one warp demand access.
-	// Arg = block address, Arg2 = 1 when served by a prefetched block.
-	EvDemandAccess
 	// EvCPIBucket: a CPI-stack epoch closed. Arg = cycles the bucket
 	// absorbed during the epoch, Arg2 = the Bucket, Track = core. Emitted
 	// per bucket per core so the Chrome trace renders per-core counter
@@ -54,7 +51,6 @@ var eventNames = [...]string{
 	EvLatePrefetch:      "late prefetch",
 	EvThrottleDegree:    "throttle degree",
 	EvStridePromotion:   "stride promotion",
-	EvDemandAccess:      "demand access",
 	EvCPIBucket:         "cpi bucket",
 }
 
@@ -66,8 +62,7 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("EventKind(%d)", uint8(k))
 }
 
-// Event is one ring entry; Track is the per-core (or, for offline replay,
-// per-warp) trace lane.
+// Event is one ring entry; Track is the per-core trace lane.
 type Event struct {
 	Cycle uint64
 	Arg   uint64
@@ -174,9 +169,8 @@ func (tw *TraceWriter) emit(obj map[string]any) error {
 }
 
 // AddRun appends one tracer's events under pid with the given process
-// name. trackPrefix names the tids ("core" for the timing simulator,
-// "warp" for offline replay). A nil tracer adds nothing.
-func (tw *TraceWriter) AddRun(pid int, name, trackPrefix string, t *Tracer) error {
+// name, one named thread per core track. A nil tracer adds nothing.
+func (tw *TraceWriter) AddRun(pid int, name string, t *Tracer) error {
 	if tw == nil || t == nil {
 		return nil
 	}
@@ -199,7 +193,7 @@ func (tw *TraceWriter) AddRun(pid int, name, trackPrefix string, t *Tracer) erro
 	for _, tid := range tracks {
 		if err := tw.emit(map[string]any{
 			"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-			"args": map[string]any{"name": fmt.Sprintf("%s %d", trackPrefix, tid)},
+			"args": map[string]any{"name": fmt.Sprintf("core %d", tid)},
 		}); err != nil {
 			return err
 		}
@@ -307,10 +301,6 @@ func eventJSON(pid int, e *Event) map[string]any {
 		obj["ph"] = "i"
 		obj["s"] = "t"
 		obj["args"] = map[string]any{"addr": hexAddr(e.Arg), "degree": e.Arg2}
-	case EvDemandAccess:
-		obj["ph"] = "i"
-		obj["s"] = "t"
-		obj["args"] = map[string]any{"addr": hexAddr(e.Arg), "covered": e.Arg2 == 1}
 	default:
 		obj["ph"] = "i"
 		obj["s"] = "t"

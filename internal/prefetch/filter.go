@@ -14,7 +14,6 @@ type PollutionFilter struct {
 	badThresh int8
 	max       int8
 
-	allowed uint64
 	blocked uint64
 }
 
@@ -37,7 +36,6 @@ func (f *PollutionFilter) Allow(pc int) bool {
 		f.blocked++
 		return false
 	}
-	f.allowed++
 	return true
 }
 
@@ -61,6 +59,3 @@ func (f *PollutionFilter) RecordUseful(pc int) {
 
 // Blocked reports how many candidates the filter dropped.
 func (f *PollutionFilter) Blocked() uint64 { return f.blocked }
-
-// Allowed reports how many candidates the filter passed.
-func (f *PollutionFilter) Allowed() uint64 { return f.allowed }

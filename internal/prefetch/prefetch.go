@@ -23,7 +23,7 @@ import "mtprefetch/internal/memreq"
 type Train struct {
 	PC     int
 	WarpID int    // global warp id
-	Cycle  uint64 // core cycle of the observation (0 in offline replay)
+	Cycle  uint64 // core cycle of the observation
 	Addr   uint64 // leading block address of the warp access
 	// Footprint holds the byte offsets (0 included, block-aligned) of
 	// every block the warp access touched relative to Addr. A generated

@@ -148,9 +148,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// Dir reports the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Len reports how many entries the index knows about.
 func (s *Store) Len() int {
 	s.mu.Lock()
