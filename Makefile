@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet race chaos pfreport cpistack spans
+.PHONY: check build test vet race chaos stats
 
 # The full gate used before committing: vet, build, race-enabled tests
 # (including the scaled-down parallel-harness sweep, see harness_test.go,
@@ -35,28 +35,14 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Prefetch attribution demo: run the GS-table sweep with per-(source, PC)
-# lifecycle attribution enabled, then render the per-source summary and
-# per-PC breakdown with cmd/pfstat. Leaves the raw JSONL in
-# pfreport.jsonl for further post-processing (e.g. pfstat -run REGEX).
-pfreport:
-	$(GO) run ./cmd/mtpref -waves 1 -pfreport pfreport.jsonl run gstable > /dev/null
-	$(GO) run ./cmd/pfstat -bypc pfreport.jsonl
-
-# Cycle-accounting demo: run the GS-table sweep with CPI stacks enabled,
-# then render the per-run breakdown (each bucket's share of all
-# core-cycles) with cmd/cpistat. Leaves the raw JSONL in cpistack.jsonl
-# for further post-processing (e.g. cpistat -bycore, or the epoch time
-# series under the "cpiepoch"/"cpitol" records).
-cpistack:
-	$(GO) run ./cmd/mtpref -waves 1 -cpistack cpistack.jsonl run gstable > /dev/null
-	$(GO) run ./cmd/cpistat cpistack.jsonl
-
-# Span-tracing demo: run the GS-table sweep with request span sampling
-# enabled, then render the per-source latency waterfall (where each
-# sampled request's end-to-end cycles went: MRQ, NoC, DRAM queueing,
-# DRAM service, response NoC) with cmd/spanstat. Leaves the raw JSONL in
-# spans.jsonl for further post-processing (e.g. spanstat -byrun).
-spans:
-	$(GO) run ./cmd/mtpref -waves 1 -spans spans.jsonl run gstable > /dev/null
-	$(GO) run ./cmd/spanstat spans.jsonl
+# Observability demo: run the GS-table sweep with prefetch attribution,
+# CPI stacks and request spans enabled, then render all three with
+# cmd/mtstat — the per-source accuracy / coverage / merge-ratio /
+# early-eviction table, each run's CPI stack (each loss bucket's share
+# of all core-cycles), and the per-source latency waterfall (MRQ, NoC,
+# DRAM queueing, DRAM service, response NoC). Leaves the raw JSONL in
+# pfreport.jsonl, cpistack.jsonl and spans.jsonl for further
+# post-processing (e.g. mtstat -detail, or mtstat -run REGEX).
+stats:
+	$(GO) run ./cmd/mtpref -waves 1 -pfreport pfreport.jsonl -cpistack cpistack.jsonl -spans spans.jsonl run gstable > /dev/null
+	$(GO) run ./cmd/mtstat pfreport.jsonl cpistack.jsonl spans.jsonl

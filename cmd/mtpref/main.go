@@ -19,15 +19,14 @@
 //	-metrics FILE   write per-epoch time series as JSONL (one line per run per epoch)
 //	-trace FILE     write a Chrome trace-event JSON (load in Perfetto / chrome://tracing)
 //	-pfreport FILE  write per-run prefetch attribution (per-source/per-PC
-//	                outcome counts) as JSONL; post-process with cmd/pfstat
+//	                outcome counts) as JSONL
 //	-cpistack FILE  write per-run CPI stacks (cycle accounting: where every
-//	                core-cycle went) and latency-tolerance snapshots as
-//	                JSONL; post-process with cmd/cpistat
+//	                core-cycle went) and latency-tolerance snapshots as JSONL
 //	-spans FILE     write request-level span records (a deterministic sample
 //	                of memory requests with per-stage latency decomposition:
 //	                MRQ wait, NoC transit, DRAM queueing and service) as
-//	                JSONL; post-process with cmd/spanstat. With -trace, the
-//	                trace additionally carries one flow arc per sampled fill
+//	                JSONL. With -trace, the trace additionally carries one
+//	                flow arc per sampled fill
 //	-span-every N   span sampling divisor: one in N eligible requests is
 //	                sampled (default 32); sampling is deterministic and
 //	                independent of -j and -noskip
@@ -39,7 +38,7 @@
 //	                keep the metrics snapshots of the last N finished runs
 //	                on the debug server (default 32)
 //	-sample N       epoch length in cycles for -metrics sampling and
-//	                -cpistack epochs (default 10000)
+//	                -cpistack epochs, at least 1 (default 10000)
 //	-crashdir DIR   write a per-run crash-dump bundle for every failed simulation
 //	-noskip         visit every cycle instead of event-driven skipping (slower;
 //	                output is byte-identical either way —
@@ -47,8 +46,10 @@
 //	-store DIR      persist every completed run in a crash-safe
 //	                content-addressed result store under DIR; reruns and
 //	                resumed sweeps serve matching runs from disk
-//	                byte-identically instead of re-simulating (CI enforces
-//	                it). Corrupt entries are quarantined and re-simulated.
+//	                byte-identically instead of re-simulating
+//	                (TestStoreKillAndResume enforces it, killing a sweep
+//	                mid-flight). Corrupt entries are quarantined and
+//	                re-simulated.
 //	-run-timeout D  wall-clock deadline per simulation (e.g. 5m; 0 = none),
 //	                complementing the cycle-domain livelock watchdog
 //	-retries N      retries per run for transient failures (store I/O,
@@ -56,6 +57,8 @@
 //	                exponential backoff (default 2)
 //	-cpuprofile F   write a pprof CPU profile of the whole invocation to F
 //	-memprofile F   write a pprof heap profile (taken at exit) to F
+//
+// cmd/mtstat post-processes the -pfreport, -cpistack and -spans files.
 //
 // The first SIGTERM/SIGINT drains gracefully: no new simulations start,
 // in-flight ones cancel at their next poll barrier, results completed so
@@ -184,13 +187,13 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 	fs.StringVar(&c.csvDir, "csv", "", "directory to write per-table CSV files into")
 	fs.StringVar(&c.metricsPath, "metrics", "", "JSONL file for per-epoch metric samples")
 	fs.StringVar(&c.tracePath, "trace", "", "Chrome trace-event JSON file")
-	fs.StringVar(&c.pfPath, "pfreport", "", "JSONL file for per-run prefetch attribution (see cmd/pfstat)")
-	fs.StringVar(&c.cpiPath, "cpistack", "", "JSONL file for per-run CPI stacks and latency tolerance (see cmd/cpistat)")
-	fs.StringVar(&c.spanPath, "spans", "", "JSONL file for per-run request span records (see cmd/spanstat)")
+	fs.StringVar(&c.pfPath, "pfreport", "", "JSONL file for per-run prefetch attribution (see cmd/mtstat)")
+	fs.StringVar(&c.cpiPath, "cpistack", "", "JSONL file for per-run CPI stacks and latency tolerance (see cmd/mtstat)")
+	fs.StringVar(&c.spanPath, "spans", "", "JSONL file for per-run request span records (see cmd/mtstat)")
 	fs.Uint64Var(&c.spanEvery, "span-every", obs.DefaultSpanEvery, "span sampling divisor: one in N eligible requests is sampled")
 	fs.StringVar(&c.httpAddr, "http", "", "address for the live-introspection debug server (e.g. :6060)")
 	fs.IntVar(&c.httpSnaps, "http-snapshots", harness.DefaultSnapshotKeep, "finished-run metrics snapshots kept on the debug server")
-	fs.Uint64Var(&c.sample, "sample", 10_000, "epoch length in cycles for -metrics sampling")
+	fs.Uint64Var(&c.sample, "sample", 10_000, "epoch length in cycles for -metrics sampling and -cpistack epochs (at least 1)")
 	fs.StringVar(&c.crashDir, "crashdir", "", "directory for per-run crash-dump bundles on failure")
 	fs.BoolVar(&c.noSkip, "noskip", false, "visit every cycle instead of event-driven skipping")
 	fs.StringVar(&c.storeDir, "store", "", "directory for the crash-safe persistent result store (resumes sweeps byte-identically)")
@@ -199,6 +202,14 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&c.memProfile, "memprofile", "", "write a pprof heap profile (at exit) to this file")
 	return c
+}
+
+// validate rejects flag values that parse but mean nothing.
+func (c *cliFlags) validate() error {
+	if c.sample == 0 {
+		return errors.New("-sample must be at least 1")
+	}
+	return nil
 }
 
 // parseIntermixed handles flags appearing after positional arguments
@@ -259,6 +270,10 @@ func main() {
 	cli := defineFlags(fs)
 	args, err := parseIntermixed(fs, os.Args[1:])
 	if err != nil {
+		usage()
+	}
+	if err := cli.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "mtpref:", err)
 		usage()
 	}
 	if len(args) == 0 {
@@ -412,7 +427,7 @@ func runOne(e *harness.Experiment, cfg harness.Config, csvDir string) error {
 	}
 	if err != nil {
 		// "with failed runs" keeps the "completed in ..." normalisation
-		// of scripts/store_chaos.sh and bench/ from matching a degraded
+		// of TestStoreKillAndResume and bench/ from matching a degraded
 		// run.
 		fmt.Printf("[%s completed with failed runs in %s]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		return fmt.Errorf("%s: %w", e.ID, err)

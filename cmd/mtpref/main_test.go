@@ -3,8 +3,13 @@ package main
 import (
 	"flag"
 	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -137,5 +142,90 @@ func TestParseStoreDefaults(t *testing.T) {
 func TestParseBadDuration(t *testing.T) {
 	if _, _, err := parse(t, []string{"run", "fig10", "-run-timeout", "soon"}); err == nil {
 		t.Error("parse accepted a malformed -run-timeout")
+	}
+}
+
+func TestValidateRejectsZeroSample(t *testing.T) {
+	cli, _, err := parse(t, []string{"run", "table3", "-metrics", "m.jsonl", "-sample", "0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.validate(); err == nil || !strings.Contains(err.Error(), "-sample") {
+		t.Errorf("validate with -sample 0 = %v, want an error naming -sample", err)
+	}
+	cli, _, err = parse(t, []string{"list"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.validate(); err != nil {
+		t.Errorf("default flags rejected: %v", err)
+	}
+}
+
+// TestStoreKillAndResume is the result store's crash-safety contract
+// end to end, with the real binary: a sweep SIGKILLed mid-flight (no
+// drain, no cleanup), then resumed over the surviving store, then rerun
+// warm over the completed store, must print tables byte-identical to a
+// storeless cold run once the wall-clock lines are normalised. Every
+// committed entry is served as-is, every lost or in-flight run
+// re-simulates, and a torn entry would change cells.
+func TestStoreKillAndResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds mtpref and runs four sweeps")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "mtpref")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	storeDir := filepath.Join(dir, "store")
+	exp := []string{"-waves", "1", "run", "table3", "gstable"}
+	completed := regexp.MustCompile(`completed in .*`)
+	sweep := func(flags ...string) string {
+		t.Helper()
+		out, err := exec.Command(bin, append(flags, exp...)...).Output()
+		if err != nil {
+			t.Fatalf("mtpref %v: %v", flags, err)
+		}
+		return completed.ReplaceAllString(string(out), "completed")
+	}
+	cold := sweep()
+
+	// -j 1 stretches the sweep; killing it once the first entry is
+	// committed lands the kill mid-sweep at any host speed.
+	killed := exec.Command(bin, append([]string{"-j", "1", "-store", storeDir}, exp...)...)
+	if err := killed.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- killed.Wait() }()
+	entries := filepath.Join(storeDir, "entries")
+wait:
+	for {
+		select {
+		case err := <-exited:
+			t.Logf("sweep exited (%v) before it could be killed", err)
+			break wait
+		case <-time.After(2 * time.Millisecond):
+		}
+		if names, _ := os.ReadDir(entries); len(names) > 0 {
+			if err := killed.Process.Kill(); err != nil {
+				t.Fatal(err)
+			}
+			<-exited
+			break
+		}
+	}
+	names, err := os.ReadDir(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("killed with %d entries committed", len(names))
+
+	if resumed := sweep("-store", storeDir); resumed != cold {
+		t.Fatalf("resumed output differs from the cold run:\n--- resumed ---\n%s--- cold ---\n%s", resumed, cold)
+	}
+	if warm := sweep("-store", storeDir); warm != cold {
+		t.Fatalf("warm output differs from the cold run:\n--- warm ---\n%s--- cold ---\n%s", warm, cold)
 	}
 }

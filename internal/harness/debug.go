@@ -459,8 +459,8 @@ func (d *DebugServer) serveTolerance(w http.ResponseWriter, _ *http.Request) {
 
 // serveSpans renders the live latency waterfall of every run that
 // attached span tracing (RunLive), in submission order, as plain text —
-// the same per-source table cmd/spanstat renders from the JSONL.
-// Finished runs keep their final waterfall.
+// the per-source table cmd/mtstat renders from the JSONL, through the
+// same obs.WriteWaterfall. Finished runs keep their final waterfall.
 func (d *DebugServer) serveSpans(w http.ResponseWriter, _ *http.Request) {
 	d.mu.Lock()
 	var runs []*runState

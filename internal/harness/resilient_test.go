@@ -196,6 +196,48 @@ func TestStoreResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestStoreReplaysOnlyMatchingSettings: a stored run's stream artifacts
+// were shaped by the observer settings of the sweep that committed
+// them — the sample period (metrics and CPI epochs) and the span
+// divisor. A sweep at other settings must simulate and write what a
+// storeless run writes, not replay the stored records.
+func TestStoreReplaysOnlyMatchingSettings(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(st *store.Store, cfg obs.Config) string {
+		var metrics, cpis, spans bytes.Buffer
+		sink, err := obs.NewSink(&metrics, nil, nil, &cpis, &spans, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := newRunner(Config{Obs: sink, Store: st, Workers: 1}).run("base/stream", resilientOptions(t, 8)); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return metrics.String() + "\x00" + cpis.String() + "\x00" + spans.String()
+	}
+	first := obs.Config{SampleEvery: 1000, SpanEvery: 8}
+	second := obs.Config{SampleEvery: 5000, SpanEvery: 64}
+	sweep(st, first)
+	got := sweep(st, second)
+	if s := st.Stats(); s.Hits != 0 || s.Commits != 2 {
+		t.Fatalf("store stats = %+v, want the second sweep to miss and commit", s)
+	}
+	if want := sweep(nil, second); got != want {
+		t.Fatalf("second sweep replayed the first sweep's streams:\ngot:\n%.400s\nwant:\n%.400s", got, want)
+	}
+	if sweep(st, second) != got {
+		t.Fatal("a third sweep at the second settings diverged from the second")
+	}
+	if s := st.Stats(); s.Hits != 1 {
+		t.Fatalf("store stats = %+v, want the third sweep to hit", s)
+	}
+}
+
 // TestStoreSkippedForInjectedRuns: chaos-injected runs must bypass the
 // store entirely — their results may deliberately diverge and must
 // never poison (or be served from) the fault-free cache.

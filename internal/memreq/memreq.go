@@ -101,7 +101,7 @@ func (s Source) String() string {
 }
 
 // ParseSource maps a Source.String() value back to the enum, for tools
-// that post-process attribution JSONL (cmd/pfstat). Unknown names report
+// that post-process attribution JSONL (cmd/mtstat). Unknown names report
 // false.
 func ParseSource(name string) (Source, bool) {
 	for s := SrcNone; s < NumSources; s++ {

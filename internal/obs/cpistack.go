@@ -263,9 +263,9 @@ func (p *CPIStack) CheckConservation(cycle, cyclesPerCore uint64) error {
 	return nil
 }
 
-// cpiBuckets is the shared JSONL bucket layout; field order is the wire
+// CPIBuckets is the shared JSONL bucket layout; field order is the wire
 // order.
-type cpiBuckets struct {
+type CPIBuckets struct {
 	Issued     uint64 `json:"issued"`
 	Idle       uint64 `json:"idle"`
 	Scoreboard uint64 `json:"scoreboard"`
@@ -274,8 +274,8 @@ type cpiBuckets struct {
 	Drain      uint64 `json:"drain"`
 }
 
-func toBuckets(b [NumBuckets]uint64) cpiBuckets {
-	return cpiBuckets{
+func toBuckets(b [NumBuckets]uint64) CPIBuckets {
+	return CPIBuckets{
 		Issued:     b[BucketIssued],
 		Idle:       b[BucketIdle],
 		Scoreboard: b[BucketScoreboard],
@@ -285,12 +285,24 @@ func toBuckets(b [NumBuckets]uint64) cpiBuckets {
 	}
 }
 
+// Array is the inverse of the wire layout: the counts indexed by Bucket.
+func (c CPIBuckets) Array() [NumBuckets]uint64 {
+	var b [NumBuckets]uint64
+	b[BucketIssued] = c.Issued
+	b[BucketIdle] = c.Idle
+	b[BucketScoreboard] = c.Scoreboard
+	b[BucketMRQFull] = c.MRQFull
+	b[BucketThrottled] = c.Throttled
+	b[BucketDrain] = c.Drain
+	return b
+}
+
 // cpiEpochRec is the JSONL schema of one epoch's machine-wide deltas.
 type cpiEpochRec struct {
 	Record string `json:"record"`
 	Run    string `json:"run,omitempty"`
 	Cycle  uint64 `json:"cycle"`
-	cpiBuckets
+	CPIBuckets
 }
 
 // cpiTolRec is the JSONL schema of one core's tolerance snapshot at an
@@ -302,13 +314,14 @@ type cpiTolRec struct {
 	Tolerance
 }
 
-// cpiCoreRec is the JSONL schema of one core's lifetime CPI stack.
-type cpiCoreRec struct {
+// CPICoreRecord is the JSONL schema of one core's lifetime CPI stack,
+// the "cpistack" line.
+type CPICoreRecord struct {
 	Record string `json:"record"`
 	Run    string `json:"run,omitempty"`
 	Core   int    `json:"core"`
 	Cycles uint64 `json:"cycles"`
-	cpiBuckets
+	CPIBuckets
 }
 
 // cpiSummary is the per-run trailer with machine-wide totals.
@@ -317,7 +330,7 @@ type cpiSummary struct {
 	Run    string `json:"run,omitempty"`
 	Cores  int    `json:"cores"`
 	Cycles uint64 `json:"cycles"`
-	cpiBuckets
+	CPIBuckets
 }
 
 // WriteJSONL emits the epoch time series ("cpiepoch" lines with their
@@ -330,7 +343,7 @@ func (p *CPIStack) WriteJSONL(w io.Writer, run string) error {
 	enc := json.NewEncoder(w)
 	for _, e := range p.epochs {
 		if err := enc.Encode(cpiEpochRec{Record: "cpiepoch", Run: run,
-			Cycle: e.Cycle, cpiBuckets: toBuckets(e.Buckets)}); err != nil {
+			Cycle: e.Cycle, CPIBuckets: toBuckets(e.Buckets)}); err != nil {
 			return err
 		}
 		for _, t := range e.Tol {
@@ -343,75 +356,12 @@ func (p *CPIStack) WriteJSONL(w io.Writer, run string) error {
 	sum := cpiSummary{Record: "cpisummary", Run: run, Cores: len(p.cores)}
 	for i, c := range p.cores {
 		cyc := c.Cycles()
-		if err := enc.Encode(cpiCoreRec{Record: "cpistack", Run: run, Core: i,
-			Cycles: cyc, cpiBuckets: toBuckets(c.Buckets)}); err != nil {
+		if err := enc.Encode(CPICoreRecord{Record: "cpistack", Run: run, Core: i,
+			Cycles: cyc, CPIBuckets: toBuckets(c.Buckets)}); err != nil {
 			return err
 		}
 		sum.Cycles += cyc
 	}
-	sum.cpiBuckets = toBuckets(p.Totals())
+	sum.CPIBuckets = toBuckets(p.Totals())
 	return enc.Encode(sum)
-}
-
-// WriteTable renders the human-readable per-core CPI stack: raw bucket
-// counts per core, machine totals, and each bucket's share of all
-// attributed cycles.
-func (p *CPIStack) WriteTable(w io.Writer) error {
-	if p == nil {
-		return nil
-	}
-	if _, err := fmt.Fprintf(w, "%-5s %12s", "core", "cycles"); err != nil {
-		return err
-	}
-	for b := Bucket(0); b < NumBuckets; b++ {
-		if _, err := fmt.Fprintf(w, " %12s", b); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	row := func(label string, cycles uint64, buckets [NumBuckets]uint64) error {
-		if _, err := fmt.Fprintf(w, "%-5s %12d", label, cycles); err != nil {
-			return err
-		}
-		for _, v := range buckets {
-			if _, err := fmt.Fprintf(w, " %12d", v); err != nil {
-				return err
-			}
-		}
-		_, err := fmt.Fprintln(w)
-		return err
-	}
-	for i, c := range p.cores {
-		if err := row(fmt.Sprint(i), c.Cycles(), c.Buckets); err != nil {
-			return err
-		}
-	}
-	tot := p.Totals()
-	var cycles uint64
-	for _, v := range tot {
-		cycles += v
-	}
-	if err := row("total", cycles, tot); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-5s %12s", "share", "-"); err != nil {
-		return err
-	}
-	for _, v := range tot {
-		if _, err := fmt.Fprintf(w, " %12s", shareStr(v, cycles)); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintln(w)
-	return err
-}
-
-// shareStr formats a/b as a percentage, "-" for an empty denominator.
-func shareStr(a, b uint64) string {
-	if b == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.1f%%", float64(a)/float64(b)*100)
 }

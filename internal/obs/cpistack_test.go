@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -40,9 +41,6 @@ func TestCPIStackNilSafe(t *testing.T) {
 	var buf bytes.Buffer
 	if err := p.WriteJSONL(&buf, "x"); err != nil || buf.Len() != 0 {
 		t.Error("nil stack wrote JSONL")
-	}
-	if err := p.WriteTable(&buf); err != nil || buf.Len() != 0 {
-		t.Error("nil stack wrote a table")
 	}
 }
 
@@ -210,22 +208,6 @@ func TestCPIStackWriteJSONL(t *testing.T) {
 	}
 }
 
-func TestCPIStackWriteTable(t *testing.T) {
-	p := NewCPIStack(0)
-	fill(p, 0, map[Bucket]uint64{BucketIssued: 750, BucketScoreboard: 250})
-	var buf bytes.Buffer
-	if err := p.WriteTable(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"issued", "scoreboard", "mrq_full", "total",
-		"share", "75.0%", "25.0%"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestCPIStackEmitsCounterEvents(t *testing.T) {
 	tr := NewTracer(128)
 	p := NewCPIStack(100)
@@ -260,5 +242,31 @@ func TestObserverConfigCPIStack(t *testing.T) {
 	o = New(Config{CPIStack: true, SampleEvery: 512})
 	if o.CPI.NextTick() != 512 {
 		t.Errorf("epoch did not default to SampleEvery: %d", o.CPI.NextTick())
+	}
+}
+
+// TestSinkCPIEpochFollowsSampleEvery: the sample period sets the CPI
+// epochs whether or not the sink writes metrics; without a metrics
+// writer the sink builds no sampler.
+func TestSinkCPIEpochFollowsSampleEvery(t *testing.T) {
+	for _, withMetrics := range []bool{false, true} {
+		var metrics, cpis bytes.Buffer
+		var mw io.Writer
+		if withMetrics {
+			mw = &metrics
+		}
+		sink, err := NewSink(mw, nil, nil, &cpis, nil, Config{SampleEvery: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := sink.Observer()
+		if (o.Sampler != nil) != withMetrics {
+			t.Errorf("metrics %v: sampler built = %v", withMetrics, o.Sampler != nil)
+		}
+		o.CPI.Core(0)
+		o.CPI.CloseEpoch(o.CPI.NextTick(), nil, nil)
+		if got := o.CPI.NextTick(); got != 2000 {
+			t.Errorf("metrics %v: second CPI epoch closes at cycle %d, want 2000", withMetrics, got)
+		}
 	}
 }

@@ -51,7 +51,9 @@ type Config struct {
 	// series and latency-tolerance snapshots (cpistack.go).
 	CPIStack bool
 	// CPIEpoch is the CPI-stack epoch length in cycles; 0 inherits
-	// SampleEvery when the sampler is on, else DefaultCPIEpoch.
+	// SampleEvery, and DefaultCPIEpoch when that is 0 too. A Sink
+	// resolves it before it turns the sampler off for want of a metrics
+	// writer, so SampleEvery sets the epochs with or without metrics.
 	CPIEpoch uint64
 	// Spans enables request-level span tracing: a deterministic sample
 	// of memory requests carries a lifecycle stamp record, aggregated

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -310,25 +312,25 @@ func TestSinkFinishArtifactsMatchFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, st := range jsonlStreams {
+		for i, name := range ls.names {
 			wrote := live[i].Bytes()[before[i]:]
 			if len(wrote) == 0 {
-				t.Errorf("%s: %s wrote nothing", key, st.name)
+				t.Errorf("%s: %s wrote nothing", key, name)
 			}
-			if !bytes.Equal(arts[st.name], wrote) {
-				t.Errorf("%s: %s artifact %q differs from the written %q", key, st.name, arts[st.name], wrote)
+			if !bytes.Equal(arts[name], wrote) {
+				t.Errorf("%s: %s artifact %q differs from the written %q", key, name, arts[name], wrote)
 			}
 		}
 		again, err := ls.Finish(key, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, st := range jsonlStreams {
-			if live[i].Len() != before[i]+len(arts[st.name]) {
-				t.Errorf("%s: repeated Finish appended to %s", key, st.name)
+		for i, name := range ls.names {
+			if live[i].Len() != before[i]+len(arts[name]) {
+				t.Errorf("%s: repeated Finish appended to %s", key, name)
 			}
-			if !bytes.Equal(again[st.name], arts[st.name]) {
-				t.Errorf("%s: repeated Finish returned different %s bytes", key, st.name)
+			if !bytes.Equal(again[name], arts[name]) {
+				t.Errorf("%s: repeated Finish returned different %s bytes", key, name)
 			}
 		}
 		if err := rs.FinishStored(key, arts); err != nil {
@@ -442,5 +444,62 @@ func TestSinkFinishAfterCloseIsNoop(t *testing.T) {
 	}
 	if tbuf.String() != before || mbuf.Len() != 0 {
 		t.Error("Finish after Close wrote to the shared files")
+	}
+}
+
+// TestSamplerWriteJSONLMatchesMapMarshal pins the sampler's line format:
+// one json.Marshal of a map holding the meta keys, then "cycle", then
+// every series value, so on a key collision a series beats "cycle" and
+// "cycle" beats meta. Random names, scales and meta values (including
+// HTML-sensitive and invalid UTF-8 strings) exercise the escaping and
+// float formatting.
+func TestSamplerWriteJSONLMatchesMapMarshal(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		r := NewRegistry()
+		var n uint64
+		r.CounterU64("n", Labels{}, &n)
+		s := NewSampler(r, 10)
+		names := []string{"rate", "ipc<odd>", "run", "cycle", "z w"}
+		defs := make([]SeriesDef, 1+rng.Intn(4))
+		for i := range defs {
+			defs[i] = SeriesDef{Name: names[rng.Intn(len(names))], Kind: SeriesPerCycle, Num: []string{"n"}, Scale: math.Ldexp(rng.Float64(), rng.Intn(40)-20)}
+		}
+		s.Define(defs...)
+		meta := map[string]string{}
+		for _, k := range []string{"run", "bench", "cycle", "odd\"key"} {
+			if rng.Intn(2) == 0 {
+				meta[k] = []string{"gstable", "a<b>&c", "x\xffy", ""}[rng.Intn(4)]
+			}
+		}
+		epochs := 1 + rng.Intn(3)
+		for e := 1; e <= epochs; e++ {
+			n += uint64(rng.Intn(1000))
+			s.Tick(uint64(10 * e))
+		}
+
+		var got bytes.Buffer
+		if err := s.WriteJSONL(&got, meta); err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		for _, p := range s.Points() {
+			line := make(map[string]any, len(defs)+len(meta)+1)
+			for k, v := range meta {
+				line[k] = v
+			}
+			line["cycle"] = p.Cycle
+			for i, d := range defs {
+				line[d.Name] = p.Values[i]
+			}
+			b, err := json.Marshal(line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Write(append(b, '\n'))
+		}
+		if got.String() != want.String() {
+			t.Fatalf("trial %d: writer diverged from json.Marshal\n got: %s\nwant: %s", trial, got.String(), want.String())
+		}
 	}
 }

@@ -1,9 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // SeriesKind selects how a series value is derived from the registry at
@@ -244,71 +244,27 @@ func (s *Sampler) Series(name string) []float64 {
 }
 
 // WriteJSONL writes one JSON object per epoch: the meta key/values (run
-// identity etc.), the cycle, and every series value, with keys sorted so
-// the output is deterministic. The encoding is hand-rolled into one
-// reused buffer (see jsonl.go) and byte-identical to what encoding/json
-// produced for the equivalent map — the fuzz test in jsonl_test.go holds
-// it to that. Values are finite by construction (zero-guarded ratios),
-// which keeps the lines valid JSON.
+// identity etc.), the cycle, and every series value. A key that occurs
+// twice keeps its last value in that order, and encoding/json sorts the
+// keys, so the output is deterministic. Values are finite by
+// construction (zero-guarded ratios), which keeps the lines valid JSON.
 func (s *Sampler) WriteJSONL(w io.Writer, meta map[string]string) error {
 	if s == nil {
 		return nil
 	}
-	// Key order replicates encoding/json marshalling of the map the
-	// previous implementation built: all keys sorted; on collision the
-	// later map write won — series values over "cycle" over meta.
-	type field struct {
-		key string
-		src int // 0: meta, 1: cycle, 2: series (def index)
-		def int
+	enc := json.NewEncoder(w)
+	// Every point has the same keys, so one map serves them all.
+	line := make(map[string]any, len(meta)+1+len(s.defs))
+	for k, v := range meta {
+		line[k] = v
 	}
-	fields := make([]field, 0, len(meta)+1+len(s.defs))
-	for k := range meta {
-		fields = append(fields, field{key: k, src: 0})
-	}
-	fields = append(fields, field{key: "cycle", src: 1})
-	for i := range s.defs {
-		fields = append(fields, field{key: s.defs[i].Name, src: 2, def: i})
-	}
-	sort.SliceStable(fields, func(i, j int) bool { return fields[i].key < fields[j].key })
-	// Deduplicate equal keys keeping the highest-precedence source.
-	out := fields[:0]
-	for _, f := range fields {
-		if n := len(out); n > 0 && out[n-1].key == f.key {
-			if f.src >= out[n-1].src {
-				out[n-1] = f
-			}
-			continue
-		}
-		out = append(out, f)
-	}
-	fields = out
-
-	var buf []byte
 	for _, p := range s.points {
-		buf = buf[:0]
-		buf = append(buf, '{')
-		for i, f := range fields {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = appendJSONString(buf, f.key)
-			buf = append(buf, ':')
-			switch f.src {
-			case 0:
-				buf = appendJSONString(buf, meta[f.key])
-			case 1:
-				buf = appendJSONUint(buf, p.Cycle)
-			case 2:
-				var err error
-				if buf, err = appendJSONFloat(buf, p.Values[f.def]); err != nil {
-					return fmt.Errorf("obs: marshal sample at cycle %d: %w", p.Cycle, err)
-				}
-			}
+		line["cycle"] = p.Cycle
+		for i := range s.defs {
+			line[s.defs[i].Name] = p.Values[i]
 		}
-		buf = append(buf, '}', '\n')
-		if _, err := w.Write(buf); err != nil {
-			return err
+		if err := enc.Encode(line); err != nil {
+			return fmt.Errorf("obs: marshal sample at cycle %d: %w", p.Cycle, err)
 		}
 	}
 	return nil

@@ -4,27 +4,29 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 )
 
 // jsonlStreams lists the per-run JSONL streams in output order: each
-// one's artifact name in a stored run, and how it renders a finished
-// run's observer into w (ok is false when the observer kept no record
-// of the stream).
+// one's name, the setting that shapes its bytes (nil when none does),
+// and how it renders a finished run's observer into w (ok is false when
+// the observer kept no record of the stream).
 var jsonlStreams = [...]struct {
-	name   string
-	render func(o *Observer, w io.Writer, runKey string) (ok bool, err error)
+	name    string
+	setting func(c *Config) uint64
+	render  func(o *Observer, w io.Writer, runKey string) (ok bool, err error)
 }{
-	{"metrics", func(o *Observer, w io.Writer, runKey string) (bool, error) {
+	{"metrics", func(c *Config) uint64 { return c.SampleEvery }, func(o *Observer, w io.Writer, runKey string) (bool, error) {
 		return o.Sampler != nil, o.Sampler.WriteJSONL(w, map[string]string{"run": runKey})
 	}},
-	{"pfreport", func(o *Observer, w io.Writer, runKey string) (bool, error) {
+	{"pfreport", nil, func(o *Observer, w io.Writer, runKey string) (bool, error) {
 		return o.PF != nil, o.PF.WriteJSONL(w, runKey)
 	}},
-	{"cpistack", func(o *Observer, w io.Writer, runKey string) (bool, error) {
+	{"cpistack", func(c *Config) uint64 { return c.CPIEpoch }, func(o *Observer, w io.Writer, runKey string) (bool, error) {
 		return o.CPI != nil, o.CPI.WriteJSONL(w, runKey)
 	}},
-	{"spans", func(o *Observer, w io.Writer, runKey string) (bool, error) {
+	{"spans", func(c *Config) uint64 { return c.SpanEvery }, func(o *Observer, w io.Writer, runKey string) (bool, error) {
 		return o.Spans != nil, o.Spans.WriteJSONL(w, runKey)
 	}},
 }
@@ -50,6 +52,7 @@ type Sink struct {
 
 	mu     sync.Mutex
 	jsonl  [len(jsonlStreams)]io.Writer // indexed like jsonlStreams; nil disables a stream
+	names  [len(jsonlStreams)]string    // each stream's artifact name in a stored run
 	trace  *TraceWriter
 	runs   int
 	done   map[string]bool
@@ -64,6 +67,25 @@ func NewSink(metrics, trace, pfreport, cpistack, spans io.Writer, cfg Config) (*
 		return nil, nil
 	}
 	s := &Sink{cfg: cfg, jsonl: [...]io.Writer{metrics, pfreport, cpistack, spans}, done: make(map[string]bool)}
+	// Resolve the defaults before the sampler may be dropped: the sample
+	// period sets the CPI epochs whether or not metrics are written.
+	if s.cfg.CPIEpoch == 0 {
+		s.cfg.CPIEpoch = s.cfg.SampleEvery
+	}
+	if s.cfg.CPIEpoch == 0 {
+		s.cfg.CPIEpoch = DefaultCPIEpoch
+	}
+	if s.cfg.SpanEvery == 0 {
+		s.cfg.SpanEvery = DefaultSpanEvery
+	}
+	// A stored run names each blob after the setting that shaped it, so
+	// a store hit replays only records made at this sink's settings.
+	for i, st := range jsonlStreams {
+		s.names[i] = st.name
+		if st.setting != nil {
+			s.names[i] += "@" + strconv.FormatUint(st.setting(&s.cfg), 10)
+		}
+	}
 	if metrics == nil {
 		s.cfg.SampleEvery = 0
 	}
@@ -94,8 +116,8 @@ func (s *Sink) Observer() *Observer {
 	return New(s.cfg)
 }
 
-// Streams names the JSONL streams this sink records — the artifact
-// blobs a stored run must carry before it can substitute for a live
+// Streams names the artifacts of the JSONL streams this sink records —
+// the blobs a stored run must carry before it can substitute for a live
 // one. Tracing is excluded: it has no per-run replayable form (see
 // NeedsLive). A nil sink records nothing.
 func (s *Sink) Streams() []string {
@@ -105,7 +127,7 @@ func (s *Sink) Streams() []string {
 	var out []string
 	for i, w := range s.jsonl {
 		if w != nil {
-			out = append(out, jsonlStreams[i].name)
+			out = append(out, s.names[i])
 		}
 	}
 	return out
@@ -132,7 +154,7 @@ func (s *Sink) render(runKey string, o *Observer) (map[string][]byte, error) {
 			return nil, fmt.Errorf("obs: %s for %s: %w", st.name, runKey, err)
 		}
 		if ok {
-			out[st.name] = buf.Bytes()
+			out[s.names[i]] = buf.Bytes()
 		}
 	}
 	return out, nil
@@ -142,10 +164,9 @@ func (s *Sink) render(runKey string, o *Observer) (map[string][]byte, error) {
 // sink records. The caller holds s.mu.
 func (s *Sink) write(runKey string, artifacts map[string][]byte) error {
 	for i, w := range s.jsonl {
-		name := jsonlStreams[i].name
-		if b := artifacts[name]; w != nil && len(b) > 0 {
+		if b := artifacts[s.names[i]]; w != nil && len(b) > 0 {
 			if _, err := w.Write(b); err != nil {
-				return fmt.Errorf("obs: %s for %s: %w", name, runKey, err)
+				return fmt.Errorf("obs: %s for %s: %w", jsonlStreams[i].name, runKey, err)
 			}
 		}
 	}

@@ -167,11 +167,42 @@ type SpanSet struct {
 	mu       sync.Mutex
 	started  uint64
 	finished uint64
-	terms    [memreq.NumSources][memreq.NumSpanTerminals]uint64
-	stage    [memreq.NumSources][NumSpanStages]stats.Histogram
-	total    [memreq.NumSources]stats.Histogram
+	rows     [memreq.NumSources]SpanRow
 	recs     []SpanRec
 	err      error // first malformed span, surfaced by CheckConservation
+}
+
+// SpanRow is one source's line of the latency waterfall: how its sampled
+// requests terminated and, over its fills, the cycles each stage took and
+// the end-to-end latency distribution. A SpanSet keeps one per source;
+// cmd/mtstat rebuilds them from "span" records, and both render through
+// WriteWaterfall.
+type SpanRow struct {
+	terms [memreq.NumSpanTerminals]uint64
+	stage [NumSpanStages]uint64 // cycle sums over fills
+	total stats.Histogram       // end-to-end latency of fills
+}
+
+// Add records one span's terminal and, for a fill, its stage durations
+// and end-to-end latency.
+func (r *SpanRow) Add(term memreq.SpanTerminal, st [NumSpanStages]uint64, total uint64) {
+	r.terms[term]++
+	if term != memreq.TermFill {
+		return
+	}
+	for i, d := range st {
+		r.stage[i] += d
+	}
+	r.total.Add(total)
+}
+
+// terminals sums the row's terminal counts.
+func (r *SpanRow) terminals() uint64 {
+	var n uint64
+	for _, c := range r.terms {
+		n += c
+	}
+	return n
 }
 
 // NewSpanSet builds an empty set sampling one in every requests (0
@@ -237,13 +268,12 @@ func (ss *SpanSet) Finish(r *memreq.Request, cycle uint64, term memreq.SpanTermi
 
 	ss.mu.Lock()
 	ss.finished++
-	ss.terms[rec.Source][term]++
-	if verr == nil && term == memreq.TermFill {
+	if verr != nil {
+		// Counted as terminated, but kept out of the stage statistics.
+		ss.rows[rec.Source].terms[term]++
+	} else {
 		st, total := rec.Stages()
-		for i := range st {
-			ss.stage[rec.Source][i].Add(st[i])
-		}
-		ss.total[rec.Source].Add(total)
+		ss.rows[rec.Source].Add(term, st, total)
 	}
 	ss.recs = append(ss.recs, rec)
 	if ss.err == nil {
@@ -397,9 +427,9 @@ func (ss *SpanSet) CheckConservation(cycle uint64, drained bool) error {
 	return nil
 }
 
-// spanRecord is the JSONL schema of one finished span; field order is
-// the wire order.
-type spanRecord struct {
+// SpanRecord is the JSONL schema of one finished span, the "span" line;
+// field order is the wire order.
+type SpanRecord struct {
 	Record      string `json:"record"`
 	Run         string `json:"run,omitempty"`
 	ID          uint64 `json:"id"`
@@ -419,6 +449,11 @@ type spanRecord struct {
 	DRAMMerged  bool   `json:"dram_merged,omitempty"`
 	L2Hit       bool   `json:"l2_hit,omitempty"`
 	Row         string `json:"row,omitempty"`
+}
+
+// Stages returns the record's stage durations indexed by SpanStage.
+func (r *SpanRecord) Stages() [NumSpanStages]uint64 {
+	return [NumSpanStages]uint64{r.MRQ, r.NoCReq, r.DRAMQueue, r.DRAMService, r.NoCResp}
 }
 
 // spanSummary is the JSONL schema of the per-source trailer: terminal
@@ -453,7 +488,7 @@ func (ss *SpanSet) WriteJSONL(w io.Writer, run string) error {
 	enc := json.NewEncoder(w)
 	for _, rec := range ss.Records() {
 		st, total := rec.Stages()
-		out := spanRecord{
+		out := SpanRecord{
 			Record: "span", Run: run, ID: rec.ID,
 			Core: rec.Core, Warp: rec.Warp, PC: rec.PC,
 			Kind:        rec.Kind.String(),
@@ -477,28 +512,25 @@ func (ss *SpanSet) WriteJSONL(w io.Writer, run string) error {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	for s := memreq.Source(0); s < memreq.NumSources; s++ {
-		var n uint64
-		for _, c := range ss.terms[s] {
-			n += c
-		}
-		if n == 0 {
+		r := &ss.rows[s]
+		if r.terminals() == 0 {
 			continue
 		}
 		sum := spanSummary{
 			Record: "spansummary", Run: run, Source: s.String(),
-			Fills:       ss.terms[s][memreq.TermFill],
-			MRQMerged:   ss.terms[s][memreq.TermMRQMerged],
-			MRQRejected: ss.terms[s][memreq.TermMRQRejected],
-			Dropped:     ss.terms[s][memreq.TermDropped],
-			MRQ:         ss.stage[s][StageMRQ].Sum,
-			NoCReq:      ss.stage[s][StageNoCReq].Sum,
-			DRAMQueue:   ss.stage[s][StageDRAMQueue].Sum,
-			DRAMService: ss.stage[s][StageDRAMService].Sum,
-			NoCResp:     ss.stage[s][StageNoCResp].Sum,
-			Total:       ss.total[s].Sum,
-			P50:         ss.total[s].Percentile(50),
-			P95:         ss.total[s].Percentile(95),
-			P99:         ss.total[s].Percentile(99),
+			Fills:       r.terms[memreq.TermFill],
+			MRQMerged:   r.terms[memreq.TermMRQMerged],
+			MRQRejected: r.terms[memreq.TermMRQRejected],
+			Dropped:     r.terms[memreq.TermDropped],
+			MRQ:         r.stage[StageMRQ],
+			NoCReq:      r.stage[StageNoCReq],
+			DRAMQueue:   r.stage[StageDRAMQueue],
+			DRAMService: r.stage[StageDRAMService],
+			NoCResp:     r.stage[StageNoCResp],
+			Total:       r.total.Sum,
+			P50:         r.total.Percentile(50),
+			P95:         r.total.Percentile(95),
+			P99:         r.total.Percentile(99),
 		}
 		if err := enc.Encode(sum); err != nil {
 			return err
@@ -507,32 +539,48 @@ func (ss *SpanSet) WriteJSONL(w io.Writer, run string) error {
 	return nil
 }
 
-// WriteTable renders the latency waterfall: one row per source with the
-// share of end-to-end cycles spent in each stage. It locks the set, so
-// the debug server can render a live snapshot mid-run.
+// WriteTable renders the run's latency waterfall (WriteWaterfall) over
+// every source that saw a terminal. It locks the set, so the debug
+// server can render a live snapshot mid-run.
 func (ss *SpanSet) WriteTable(w io.Writer) error {
 	if ss == nil {
 		return nil
 	}
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if _, err := fmt.Fprintf(w, "%-10s %8s %9s %7s %8s %8s %9s %9s %8s %8s %8s\n",
-		"source", "fills", "avgtotal", "mrq%", "nocreq%", "dramq%", "dramsvc%",
-		"nocresp%", "p50", "p95", "p99"); err != nil {
+	rows := make(map[string]*SpanRow)
+	for s := memreq.Source(0); s < memreq.NumSources; s++ {
+		if r := &ss.rows[s]; r.terminals() > 0 {
+			rows[s.String()] = r
+		}
+	}
+	return WriteWaterfall(w, rows)
+}
+
+// WriteWaterfall renders the latency waterfall: one row per source,
+// sorted by name, with its terminal counts, the mean end-to-end latency
+// of its fills, each stage's share of the filled cycles, and the
+// latency percentiles.
+func WriteWaterfall(w io.Writer, rows map[string]*SpanRow) error {
+	if _, err := fmt.Fprintf(w, "%-10s %8s %7s %7s %7s %9s %7s %8s %8s %9s %9s %8s %8s %8s\n",
+		"source", "fills", "merged", "reject", "dropped", "avgtotal",
+		"mrq%", "nocreq%", "dramq%", "dramsvc%", "nocresp%", "p50", "p95", "p99"); err != nil {
 		return err
 	}
-	for s := memreq.Source(0); s < memreq.NumSources; s++ {
-		t := &ss.total[s]
-		if t.Count == 0 {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "%-10s %8d %9.1f %7s %8s %8s %9s %9s %8.1f %8.1f %8.1f\n",
-			s, t.Count, t.Avg(),
-			pctStr(ss.stage[s][StageMRQ].Sum, t.Sum),
-			pctStr(ss.stage[s][StageNoCReq].Sum, t.Sum),
-			pctStr(ss.stage[s][StageDRAMQueue].Sum, t.Sum),
-			pctStr(ss.stage[s][StageDRAMService].Sum, t.Sum),
-			pctStr(ss.stage[s][StageNoCResp].Sum, t.Sum),
+	names := make([]string, 0, len(rows))
+	for n := range rows {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		r := rows[name]
+		t := &r.total
+		if _, err := fmt.Fprintf(w, "%-10s %8d %7d %7d %7d %9.1f %7s %8s %8s %9s %9s %8.1f %8.1f %8.1f\n",
+			name, r.terms[memreq.TermFill], r.terms[memreq.TermMRQMerged],
+			r.terms[memreq.TermMRQRejected], r.terms[memreq.TermDropped], t.Avg(),
+			pctStr(r.stage[StageMRQ], t.Sum), pctStr(r.stage[StageNoCReq], t.Sum),
+			pctStr(r.stage[StageDRAMQueue], t.Sum), pctStr(r.stage[StageDRAMService], t.Sum),
+			pctStr(r.stage[StageNoCResp], t.Sum),
 			t.Percentile(50), t.Percentile(95), t.Percentile(99)); err != nil {
 			return err
 		}
