@@ -10,11 +10,12 @@
 //
 // Flags (accepted before or after the subcommand and ids):
 //
-//	-waves N        scale benchmarks to ~N occupancy waves per core (default 2)
+//	-waves N        scale benchmarks to ~N occupancy waves per core, at
+//	                least 1 (default 2)
 //	-full           run sensitivity sweeps over the full suite, not the subset
-//	-j N            run up to N simulations concurrently per experiment
-//	                (default GOMAXPROCS; -j 1 is strictly sequential, and any
-//	                setting produces byte-identical tables)
+//	-j N            run up to N simulations concurrently per experiment, at
+//	                least 1 (default GOMAXPROCS; -j 1 is strictly sequential,
+//	                and any setting produces byte-identical tables)
 //	-csv DIR        additionally write each table as <DIR>/<exp>-<n>.csv
 //	-metrics FILE   write per-epoch time series as JSONL (one line per run per epoch)
 //	-trace FILE     write a Chrome trace-event JSON (load in Perfetto / chrome://tracing)
@@ -28,12 +29,14 @@
 //	                JSONL. With -trace, the trace additionally carries one
 //	                flow arc per sampled fill
 //	-span-every N   span sampling divisor: one in N eligible requests is
-//	                sampled (default 32); sampling is deterministic and
-//	                independent of -j and -noskip
+//	                sampled, at least 1 (default 32); sampling is
+//	                deterministic and independent of -j and -noskip
 //	-http ADDR      serve live sweep introspection on ADDR (e.g. :6060):
 //	                "/" per-run progress JSON, "/metrics" Prometheus text,
-//	                "/healthz" run-state JSON, "/tolerance" live per-core
-//	                latency-tolerance snapshots, "/debug/pprof" Go profiling
+//	                "/healthz" run-state JSON, "/store" result-store
+//	                statistics, "/tolerance" live per-core latency-tolerance
+//	                snapshots, "/spans" live per-source latency waterfalls,
+//	                "/debug/pprof" Go profiling
 //	-http-snapshots N
 //	                keep the metrics snapshots of the last N finished runs
 //	                on the debug server (default 32)
@@ -52,9 +55,6 @@
 //	                re-simulated.
 //	-run-timeout D  wall-clock deadline per simulation (e.g. 5m; 0 = none),
 //	                complementing the cycle-domain livelock watchdog
-//	-retries N      retries per run for transient failures (store I/O,
-//	                injected chaos faults), with deterministic seeded
-//	                exponential backoff (default 2)
 //	-cpuprofile F   write a pprof CPU profile of the whole invocation to F
 //	-memprofile F   write a pprof heap profile (taken at exit) to F
 //
@@ -91,7 +91,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: mtpref [-waves N] [-full] [-j N] [-csv DIR] [-metrics FILE] [-trace FILE] [-pfreport FILE] [-cpistack FILE] [-spans FILE] [-span-every N] [-http ADDR] [-http-snapshots N] [-sample N] [-crashdir DIR] [-noskip] [-store DIR] [-run-timeout D] [-retries N] [-cpuprofile FILE] [-memprofile FILE] {list | run <id>... | all}\n")
+	fmt.Fprintf(os.Stderr, "usage: mtpref [-waves N] [-full] [-j N] [-csv DIR] [-metrics FILE] [-trace FILE] [-pfreport FILE] [-cpistack FILE] [-spans FILE] [-span-every N] [-http ADDR] [-http-snapshots N] [-sample N] [-crashdir DIR] [-noskip] [-store DIR] [-run-timeout D] [-cpuprofile FILE] [-memprofile FILE] {list | run <id>... | all}\n")
 	os.Exit(2)
 }
 
@@ -172,7 +172,6 @@ type cliFlags struct {
 	noSkip      bool
 	storeDir    string
 	runTimeout  time.Duration
-	retries     int
 	cpuProfile  string
 	memProfile  string
 }
@@ -181,8 +180,8 @@ type cliFlags struct {
 // struct they populate.
 func defineFlags(fs *flag.FlagSet) *cliFlags {
 	c := &cliFlags{}
-	fs.IntVar(&c.waves, "waves", 2, "occupancy waves per core when scaling benchmarks")
-	fs.IntVar(&c.workers, "j", runtime.GOMAXPROCS(0), "concurrent simulations per experiment (1 = sequential)")
+	fs.IntVar(&c.waves, "waves", 2, "occupancy waves per core when scaling benchmarks (at least 1)")
+	fs.IntVar(&c.workers, "j", runtime.GOMAXPROCS(0), "concurrent simulations per experiment (at least 1; 1 = sequential)")
 	fs.BoolVar(&c.full, "full", false, "run sensitivity sweeps on the full suite")
 	fs.StringVar(&c.csvDir, "csv", "", "directory to write per-table CSV files into")
 	fs.StringVar(&c.metricsPath, "metrics", "", "JSONL file for per-epoch metric samples")
@@ -190,7 +189,7 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 	fs.StringVar(&c.pfPath, "pfreport", "", "JSONL file for per-run prefetch attribution (see cmd/mtstat)")
 	fs.StringVar(&c.cpiPath, "cpistack", "", "JSONL file for per-run CPI stacks and latency tolerance (see cmd/mtstat)")
 	fs.StringVar(&c.spanPath, "spans", "", "JSONL file for per-run request span records (see cmd/mtstat)")
-	fs.Uint64Var(&c.spanEvery, "span-every", obs.DefaultSpanEvery, "span sampling divisor: one in N eligible requests is sampled")
+	fs.Uint64Var(&c.spanEvery, "span-every", obs.DefaultSpanEvery, "span sampling divisor: one in N eligible requests is sampled (at least 1)")
 	fs.StringVar(&c.httpAddr, "http", "", "address for the live-introspection debug server (e.g. :6060)")
 	fs.IntVar(&c.httpSnaps, "http-snapshots", harness.DefaultSnapshotKeep, "finished-run metrics snapshots kept on the debug server")
 	fs.Uint64Var(&c.sample, "sample", 10_000, "epoch length in cycles for -metrics sampling and -cpistack epochs (at least 1)")
@@ -198,16 +197,25 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 	fs.BoolVar(&c.noSkip, "noskip", false, "visit every cycle instead of event-driven skipping")
 	fs.StringVar(&c.storeDir, "store", "", "directory for the crash-safe persistent result store (resumes sweeps byte-identically)")
 	fs.DurationVar(&c.runTimeout, "run-timeout", 0, "wall-clock deadline per simulation (0 = none)")
-	fs.IntVar(&c.retries, "retries", 2, "retries per run for transient failures (seeded exponential backoff)")
 	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&c.memProfile, "memprofile", "", "write a pprof heap profile (at exit) to this file")
 	return c
 }
 
-// validate rejects flag values that parse but mean nothing.
+// validate rejects flag values that parse but mean nothing. The
+// library would silently replace each of them with its default.
 func (c *cliFlags) validate() error {
-	if c.sample == 0 {
+	switch {
+	case c.sample == 0:
 		return errors.New("-sample must be at least 1")
+	case c.spanEvery == 0:
+		return errors.New("-span-every must be at least 1")
+	case c.waves < 1:
+		return errors.New("-waves must be at least 1")
+	case c.workers < 1:
+		return errors.New("-j must be at least 1")
+	case c.runTimeout < 0:
+		return errors.New("-run-timeout must not be negative")
 	}
 	return nil
 }
@@ -282,8 +290,7 @@ func main() {
 
 	subset := !cli.full
 	cfg := harness.Config{Waves: cli.waves, Subset: &subset, Workers: cli.workers,
-		CrashDir: cli.crashDir, NoCycleSkip: cli.noSkip,
-		RunTimeout: cli.runTimeout, Retries: cli.retries}
+		CrashDir: cli.crashDir, NoCycleSkip: cli.noSkip, RunTimeout: cli.runTimeout}
 	startProfiles(cli.cpuProfile, cli.memProfile)
 
 	if cli.storeDir != "" {

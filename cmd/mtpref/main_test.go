@@ -108,7 +108,7 @@ func TestParseBadFlag(t *testing.T) {
 
 func TestParseStoreFlags(t *testing.T) {
 	cli, pos, err := parse(t, []string{"run", "fig10", "-store", "/tmp/results",
-		"-run-timeout", "5m", "-retries", "7"})
+		"-run-timeout", "5m"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +121,6 @@ func TestParseStoreFlags(t *testing.T) {
 	if cli.runTimeout != 5*time.Minute {
 		t.Errorf("runTimeout = %v, want 5m", cli.runTimeout)
 	}
-	if cli.retries != 7 {
-		t.Errorf("retries = %d, want 7", cli.retries)
-	}
 }
 
 func TestParseStoreDefaults(t *testing.T) {
@@ -134,9 +131,6 @@ func TestParseStoreDefaults(t *testing.T) {
 	if cli.storeDir != "" || cli.runTimeout != 0 {
 		t.Errorf("store defaults = %+v, want disabled store and no deadline", cli)
 	}
-	if cli.retries != 2 {
-		t.Errorf("default retries = %d, want 2", cli.retries)
-	}
 }
 
 func TestParseBadDuration(t *testing.T) {
@@ -145,13 +139,33 @@ func TestParseBadDuration(t *testing.T) {
 	}
 }
 
-func TestValidateRejectsZeroSample(t *testing.T) {
-	cli, _, err := parse(t, []string{"run", "table3", "-metrics", "m.jsonl", "-sample", "0"})
+// TestValidateRejectsMeaninglessFlags: a flag value that parses but
+// that the library would silently replace with its default is a usage
+// error naming the flag.
+func TestValidateRejectsMeaninglessFlags(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-sample", "0"},
+		{"-span-every", "0"},
+		{"-waves", "0"},
+		{"-waves", "-1"},
+		{"-j", "0"},
+		{"-j", "-2"},
+		{"-run-timeout", "-1s"},
+	} {
+		cli, _, err := parse(t, []string{"run", "table3", tc.flag, tc.value})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.validate(); err == nil || !strings.Contains(err.Error(), tc.flag+" ") {
+			t.Errorf("validate with %s %s = %v, want an error naming %s", tc.flag, tc.value, err, tc.flag)
+		}
+	}
+	cli, _, err := parse(t, []string{"-waves", "1", "-j", "1", "-span-every", "1", "-sample", "1", "-run-timeout", "0", "list"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.validate(); err == nil || !strings.Contains(err.Error(), "-sample") {
-		t.Errorf("validate with -sample 0 = %v, want an error naming -sample", err)
+	if err := cli.validate(); err != nil {
+		t.Errorf("smallest meaningful flags rejected: %v", err)
 	}
 	cli, _, err = parse(t, []string{"list"})
 	if err != nil {

@@ -82,14 +82,13 @@ type EventSource interface {
 }
 
 // RunFaulter is the optional interface a FaultInjector implements to
-// abort the whole run with an error of its choosing — the hook chaos
-// tests use to simulate transient environmental failures (a flaky run
-// that heals on retry returns simerr.Transient errors for its first N
-// executions, then nil forever). RunFault is polled once per visited
-// cycle, after the cores step; the first non-nil error aborts the run
-// immediately. An injector whose fault must fire at a specific cycle
-// should also report that cycle from NextEvent so event-driven skipping
-// visits it.
+// act between the phases of a visited cycle — tests use it to damage
+// machine state mid-run or to fire a drain at a chosen cycle — and to
+// abort the whole run with an error of its choosing. RunFault is polled
+// once per visited cycle, after the cores step; the first non-nil error
+// aborts the run immediately. An injector whose fault must fire at a
+// specific cycle should also report that cycle from NextEvent so
+// event-driven skipping visits it.
 type RunFaulter interface {
 	RunFault(cycle uint64) error
 }

@@ -8,7 +8,7 @@
 //	             health, and a status that degrades when any run has
 //	             failed; HTTP 503 while the store cannot commit
 //	/store       result-store statistics (hits, misses, quarantined,
-//	             commit errors) plus the harness retry count
+//	             commit errors) plus the count of runs it served
 //	/tolerance   live per-core latency-tolerance snapshots (ready warps,
 //	             MRQ headroom, oldest-fill age) of running simulations
 //	             with cycle accounting attached
@@ -22,6 +22,7 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -48,7 +49,6 @@ type runState struct {
 	Key     string  `json:"key"`
 	Status  string  `json:"status"` // "running", "done", "cached", "failed"
 	Seconds float64 `json:"seconds"`
-	Retries int     `json:"retries,omitempty"`
 	Error   string  `json:"error,omitempty"`
 
 	started time.Time
@@ -64,17 +64,16 @@ type DebugServer struct {
 	ln  net.Listener
 	srv *http.Server
 
-	mu      sync.Mutex
-	closed  bool     // Close called: publish hooks become inert
-	order   []string // submission order, for stable listings
-	runs    map[string]*runState
-	snaps   []string // keys of finished runs still holding snapshots
-	keep    int      // snapshot cap (DefaultSnapshotKeep unless overridden)
-	failed  int
-	done    int
-	cached  int // runs served from the result store
-	retried int // transient-failure retries across all runs
-	st      *store.Store
+	mu     sync.Mutex
+	closed bool     // Close called: publish hooks become inert
+	order  []string // submission order, for stable listings
+	runs   map[string]*runState
+	snaps  []string // keys of finished runs still holding snapshots
+	keep   int      // snapshot cap (DefaultSnapshotKeep unless overridden)
+	failed int
+	done   int
+	cached int // runs served from the result store
+	st     *store.Store
 
 	started time.Time
 }
@@ -116,9 +115,8 @@ func (d *DebugServer) Addr() string {
 }
 
 // Close shuts the server down. The publish hooks (RunStarted,
-// RunFinished, RunLive, RunCached, RunRetried) become inert, so
-// stragglers from a draining sweep cannot mutate a closed server's
-// state mid-report.
+// RunFinished, RunLive, RunCached) become inert, so stragglers from a
+// draining sweep cannot mutate a closed server's state mid-report.
 func (d *DebugServer) Close() error {
 	if d == nil {
 		return nil
@@ -225,32 +223,6 @@ func (d *DebugServer) RunCached(key string) {
 	d.cached++
 }
 
-// RunRetried publishes that key's attempt (1-based) failed with a
-// transient error and is being retried; the run stays "running".
-func (d *DebugServer) RunRetried(key string, attempt int, err error) {
-	if d == nil {
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return
-	}
-	st := d.runs[key]
-	if st == nil {
-		st = &runState{Key: key, Status: "running", started: time.Now()}
-		d.order = append(d.order, key)
-		d.runs[key] = st
-	}
-	if attempt > st.Retries {
-		st.Retries = attempt
-	}
-	if err != nil {
-		st.Error = err.Error() // last transient error, cleared on success
-	}
-	d.retried++
-}
-
 // RunFinished publishes a run's completion, its error (nil on success),
 // and its frozen end-of-run registry snapshot (may be nil, e.g. after a
 // panic).
@@ -276,7 +248,6 @@ func (d *DebugServer) RunFinished(key string, snap []obs.SnapshotEntry, err erro
 		d.failed++
 	} else {
 		st.Status = "done"
-		st.Error = "" // clear a retried attempt's transient error
 		d.done++
 	}
 	if snap != nil && d.keep > 0 {
@@ -320,36 +291,31 @@ func (d *DebugServer) serveRuns(w http.ResponseWriter, r *http.Request) {
 
 // serveMetrics renders the Prometheus text exposition: harness progress
 // gauges plus every retained finished run's registry snapshot, labelled
-// by run key, core, and component.
+// by run key, core, and component. The exposition is rendered into a
+// buffer and written after the lock is released, so a client that
+// stops reading cannot block the workers' publish hooks.
 func (d *DebugServer) serveMetrics(w http.ResponseWriter, _ *http.Request) {
+	var b bytes.Buffer
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	running := 0
 	for _, st := range d.runs {
 		if st.Status == "running" {
 			running++
 		}
 	}
-	fmt.Fprintf(w, "# TYPE mtpref_runs gauge\n")
-	fmt.Fprintf(w, "mtpref_runs{status=%q} %d\n", "running", running)
-	fmt.Fprintf(w, "mtpref_runs{status=%q} %d\n", "done", d.done)
-	fmt.Fprintf(w, "mtpref_runs{status=%q} %d\n", "failed", d.failed)
+	fmt.Fprintf(&b, "# TYPE mtpref_runs gauge\n")
+	fmt.Fprintf(&b, "mtpref_runs{status=%q} %d\n", "running", running)
+	fmt.Fprintf(&b, "mtpref_runs{status=%q} %d\n", "done", d.done)
+	fmt.Fprintf(&b, "mtpref_runs{status=%q} %d\n", "failed", d.failed)
 	for _, key := range d.snaps {
 		for _, e := range d.runs[key].snap {
-			fmt.Fprintf(w, "sim_%s{run=%q,core=%q,component=%q} %g\n",
+			fmt.Fprintf(&b, "sim_%s{run=%q,core=%q,component=%q} %g\n",
 				promName(e.Name), key, fmt.Sprint(e.Core), e.Component, e.Value)
 		}
 	}
-}
-
-// storeHealth is the result-store section of /healthz.
-type storeHealth struct {
-	Entries         int    `json:"entries"`
-	Quarantined     int64  `json:"quarantined"`
-	CommitErrors    int64  `json:"commit_errors"`
-	LastCommitError string `json:"last_commit_error,omitempty"`
-	Degraded        bool   `json:"degraded"`
+	d.mu.Unlock()
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	w.Write(b.Bytes()) //nolint:errcheck // client went away
 }
 
 // serveHealthz renders the liveness summary: overall status ("ok", or
@@ -373,7 +339,7 @@ func (d *DebugServer) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 		Done          int          `json:"done"`
 		Failed        int          `json:"failed"`
 		UptimeSeconds float64      `json:"uptime_seconds"`
-		Store         *storeHealth `json:"store,omitempty"`
+		Store         *store.Stats `json:"store,omitempty"`
 	}{
 		Status:        "ok",
 		Running:       running,
@@ -387,13 +353,7 @@ func (d *DebugServer) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 	code := http.StatusOK
 	if d.st != nil {
 		s := d.st.Stats()
-		out.Store = &storeHealth{
-			Entries:         s.Entries,
-			Quarantined:     s.Quarantined,
-			CommitErrors:    s.CommitErrors,
-			LastCommitError: s.LastCommitError,
-			Degraded:        s.Degraded,
-		}
+		out.Store = &s
 		if s.Degraded {
 			out.Status = "degraded"
 			code = http.StatusServiceUnavailable
@@ -408,16 +368,15 @@ func (d *DebugServer) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // serveStore renders the result store's statistics plus the harness's
-// cached/retried run counts; attached=false (and zero stats) when no
-// store is configured.
+// cached run count; attached=false (and zero stats) when no store is
+// configured.
 func (d *DebugServer) serveStore(w http.ResponseWriter, _ *http.Request) {
 	d.mu.Lock()
 	out := struct {
 		Attached bool        `json:"attached"`
 		Cached   int         `json:"cached_runs"`
-		Retried  int         `json:"retried_attempts"`
 		Stats    store.Stats `json:"stats"`
-	}{Attached: d.st != nil, Cached: d.cached, Retried: d.retried}
+	}{Attached: d.st != nil, Cached: d.cached}
 	if d.st != nil {
 		out.Stats = d.st.Stats()
 	}
@@ -462,23 +421,32 @@ func (d *DebugServer) serveTolerance(w http.ResponseWriter, _ *http.Request) {
 // the per-source table cmd/mtstat renders from the JSONL, through the
 // same obs.WriteWaterfall. Finished runs keep their final waterfall.
 func (d *DebugServer) serveSpans(w http.ResponseWriter, _ *http.Request) {
+	type spanRun struct {
+		key, status string
+		spans       *obs.SpanSet
+	}
 	d.mu.Lock()
-	var runs []*runState
+	var runs []spanRun
 	for _, k := range d.order {
 		if st := d.runs[k]; st.spans != nil {
-			runs = append(runs, st)
+			runs = append(runs, spanRun{k, st.Status, st.spans})
 		}
 	}
 	d.mu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for _, st := range runs {
-		// WriteTable locks the SpanSet itself, so a mid-run snapshot is
-		// consistent without holding the server mutex across renders.
-		fmt.Fprintf(w, "%s (%s): %d/%d spans finished\n", st.Key, st.Status,
-			st.spans.Finished(), st.spans.Started())
-		st.spans.WriteTable(w) //nolint:errcheck // client went away
-		fmt.Fprintln(w)
+	// WriteTable locks the SpanSet itself, so a mid-run snapshot is
+	// consistent without holding the server mutex. The running
+	// simulation takes that lock for every finished span, so render into
+	// memory and write after: a client that stops reading must not hold
+	// it.
+	var b bytes.Buffer
+	for _, r := range runs {
+		fmt.Fprintf(&b, "%s (%s): %d/%d spans finished\n", r.key, r.status,
+			r.spans.Finished(), r.spans.Started())
+		r.spans.WriteTable(&b) //nolint:errcheck // a bytes.Buffer write cannot fail
+		fmt.Fprintln(&b)
 	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Write(b.Bytes()) //nolint:errcheck // client went away
 }
 
 // promName sanitises a registry metric name ("smcore.demand_latency")

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"mtprefetch/internal/core"
 	"mtprefetch/internal/memreq"
@@ -83,6 +85,115 @@ func TestDebugServerEndpoints(t *testing.T) {
 
 	if body := get(t, base+"/debug/pprof/cmdline"); body == "" {
 		t.Error("pprof cmdline endpoint empty")
+	}
+}
+
+// stalledWriter is an http.ResponseWriter whose client stops reading
+// after pass writes: every later Write blocks until release is closed.
+type stalledWriter struct {
+	pass    int
+	header  http.Header
+	entered chan struct{} // closed by the first blocked Write
+	release chan struct{}
+	body    strings.Builder
+}
+
+func newStalledWriter(pass int) *stalledWriter {
+	return &stalledWriter{pass: pass, header: http.Header{},
+		entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (w *stalledWriter) Header() http.Header { return w.header }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	if w.pass > 0 {
+		w.pass--
+		return w.body.Write(p)
+	}
+	select {
+	case <-w.entered:
+	default:
+		close(w.entered)
+	}
+	<-w.release
+	return w.body.Write(p)
+}
+
+// TestDebugServerStalledMetricsClient: a /metrics client that stops
+// reading must not block the publish hooks the harness workers call
+// while they hold their pool slots.
+func TestDebugServerStalledMetricsClient(t *testing.T) {
+	d, err := NewDebugServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.RunStarted("a")
+	w := newStalledWriter(0)
+	served := make(chan struct{})
+	go func() {
+		d.serveMetrics(w, httptest.NewRequest("GET", "/metrics", nil))
+		close(served)
+	}()
+	<-w.entered
+	finished := make(chan struct{})
+	go func() {
+		d.RunFinished("a", nil, nil)
+		close(finished)
+	}()
+	select {
+	case <-finished:
+	case <-time.After(2 * time.Second):
+		t.Error("RunFinished blocked behind a stalled /metrics client")
+	}
+	close(w.release)
+	<-served
+	<-finished
+	if !strings.Contains(w.body.String(), `mtpref_runs{status="running"} 1`) {
+		t.Errorf("/metrics body:\n%s", w.body.String())
+	}
+}
+
+// TestDebugServerStalledSpansClient: a /spans client that stops
+// reading partway through the response must not stall the simulation
+// whose waterfall it was sent.
+func TestDebugServerStalledSpansClient(t *testing.T) {
+	d, err := NewDebugServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ss := obs.NewSpanSet(1) // sample everything
+	d.RunStarted("live")
+	d.RunLive("live", nil, ss)
+	w := newStalledWriter(1)
+	served := make(chan struct{})
+	go func() {
+		d.serveSpans(w, httptest.NewRequest("GET", "/spans", nil))
+		close(served)
+	}()
+	select {
+	case <-w.entered:
+	case <-served:
+	}
+	finished := make(chan struct{})
+	go func() {
+		r := &memreq.Request{CoreID: 2, WarpID: 5}
+		ss.Start(r, 0, 100)
+		ss.Finish(r, 110, memreq.TermDropped)
+		d.RunFinished("live", nil, nil)
+		close(finished)
+	}()
+	select {
+	case <-finished:
+	case <-time.After(2 * time.Second):
+		t.Error("span recording blocked behind a stalled /spans client")
+	}
+	close(w.release)
+	<-served
+	<-finished
+	if !strings.Contains(w.body.String(), "live (running): 0/0 spans finished") {
+		t.Errorf("/spans body:\n%s", w.body.String())
 	}
 }
 
@@ -257,7 +368,6 @@ func TestDebugServerClosedHooksInert(t *testing.T) {
 	}
 	d.RunStarted("late")
 	d.RunLive("late", obs.NewCPIStack(100), nil)
-	d.RunRetried("late", 1, errors.New("flake"))
 	d.RunCached("late")
 	d.RunFinished("late", []obs.SnapshotEntry{{Name: "x", Component: "c"}}, nil)
 	d.RunFinished("early", nil, errors.New("double-report"))
@@ -267,17 +377,17 @@ func TestDebugServerClosedHooksInert(t *testing.T) {
 	if len(d.runs) != 1 || d.runs["late"] != nil {
 		t.Fatalf("closed server accepted runs: %d tracked", len(d.runs))
 	}
-	if d.done != 1 || d.failed != 0 || d.retried != 0 || d.cached != 0 {
-		t.Fatalf("closed server mutated counters: done=%d failed=%d retried=%d cached=%d",
-			d.done, d.failed, d.retried, d.cached)
+	if d.done != 1 || d.failed != 0 || d.cached != 0 {
+		t.Fatalf("closed server mutated counters: done=%d failed=%d cached=%d",
+			d.done, d.failed, d.cached)
 	}
 	if st := d.runs["early"]; st.Status != "done" || st.Error != "" {
 		t.Fatalf("closed server rewrote a finished run: %+v", st)
 	}
 }
 
-// TestDebugServerStoreEndpoint: /store reports attachment, the
-// cached/retried counters, and the store's own statistics.
+// TestDebugServerStoreEndpoint: /store reports attachment, the cached
+// run count, and the store's own statistics.
 func TestDebugServerStoreEndpoint(t *testing.T) {
 	d, err := NewDebugServer("127.0.0.1:0")
 	if err != nil {
@@ -289,7 +399,6 @@ func TestDebugServerStoreEndpoint(t *testing.T) {
 	var out struct {
 		Attached bool `json:"attached"`
 		Cached   int  `json:"cached_runs"`
-		Retried  int  `json:"retried_attempts"`
 		Stats    struct {
 			Entries int   `json:"entries"`
 			Commits int64 `json:"commits"`
@@ -315,11 +424,9 @@ func TestDebugServerStoreEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.RunCached("a")
-	d.RunRetried("b", 1, errors.New("flake"))
-	d.RunRetried("b", 2, errors.New("flake"))
 	read()
-	if !out.Attached || out.Cached != 1 || out.Retried != 2 {
-		t.Fatalf("/store = %+v, want attached with 1 cached / 2 retried", out)
+	if !out.Attached || out.Cached != 1 {
+		t.Fatalf("/store = %+v, want attached with 1 cached", out)
 	}
 	if out.Stats.Entries != 1 || out.Stats.Commits != 1 {
 		t.Fatalf("/store stats = %+v, want 1 entry / 1 commit", out.Stats)

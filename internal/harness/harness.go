@@ -19,7 +19,6 @@ import (
 	"mtprefetch/internal/core"
 	"mtprefetch/internal/obs"
 	"mtprefetch/internal/prefetch"
-	"mtprefetch/internal/simerr"
 	"mtprefetch/internal/stats"
 	"mtprefetch/internal/store"
 	"mtprefetch/internal/swpref"
@@ -73,21 +72,12 @@ type Config struct {
 	// later invocations. Chaos-injected and tracing runs bypass it; see
 	// runner.storeEnabled.
 	Store *store.Store
-	// RunTimeout, when positive, bounds each simulation attempt in wall
-	// clock (core.Options.Ctx), complementing the cycle-domain livelock
+	// RunTimeout, when positive, bounds each simulation in wall clock
+	// (core.Options.Ctx), complementing the cycle-domain livelock
 	// watchdog: a run that exceeds it fails with context.
 	// DeadlineExceeded wrapped in *core.CanceledError. Zero disables
 	// the deadline.
 	RunTimeout time.Duration
-	// Retries bounds how many times a run whose failure is typed
-	// transient (simerr.IsTransient — store I/O faults, injected chaos
-	// faults) is re-executed with a fresh observer before the failure
-	// is final (default 0: fail fast). Each retry backs off on a
-	// deterministic per-(key, attempt) seeded schedule; see retryDelay.
-	Retries int
-	// RetryBackoff is the base delay between transient-failure retries
-	// (default 100ms); attempt n waits roughly base<<n, jittered.
-	RetryBackoff time.Duration
 	// Lifecycle, when non-nil, coordinates graceful drain: once its
 	// Drain fires (typically from SIGTERM via HandleSignals), queued
 	// runs abort with ErrDrained, in-flight runs cancel at their next
@@ -276,27 +266,18 @@ func (r *runner) abortDrained(key string, o core.Options) error {
 
 // runOne resolves one simulation: a store hit replays the committed
 // result and artifacts without simulating; otherwise the run executes
-// (attempt), transient failures retry on a bounded seeded-backoff
-// schedule with a fresh observer each time — so the surviving output
-// is byte-identical to a first-try success — and the final outcome is
-// published once and, on success, committed to the store.
+// once (attempt) — a deterministic simulation that fails would fail the
+// same way again — and the outcome is published and, on success,
+// committed to the store.
 //
-// The result is recorded in the memo cache before the observability
-// sink flushes it: a Finish error must not discard the simulation, or
-// a retry under the same key would re-run it and duplicate the sink's
-// trace/sample output (the sink is additionally idempotent per key).
+// A Finish error is returned alongside the result, not instead of it:
+// the simulation completed, so its table cells stay valid.
 func (r *runner) runOne(key string, o core.Options) (*core.Result, error) {
 	fp := r.storeFingerprint(key, o)
 	if res, ok, err := r.storeGet(key, fp); ok {
 		return res, err
 	}
 	res, ob, snap, err := r.attempt(key, o)
-	for try := 1; err != nil && simerr.IsTransient(err) &&
-		try <= r.c.retries() && !r.c.Lifecycle.Draining(); try++ {
-		r.c.Debug.RunRetried(key, try, err)
-		time.Sleep(retryDelay(key, try-1, r.c.RetryBackoff))
-		res, ob, snap, err = r.attempt(key, o)
-	}
 	r.c.Debug.RunFinished(key, snap, err)
 	if err != nil {
 		return nil, err
@@ -309,15 +290,13 @@ func (r *runner) runOne(key string, o core.Options) (*core.Result, error) {
 	return res, nil
 }
 
-// attempt executes one simulation attempt with panic isolation: a
-// panic anywhere in the simulator becomes a *RunError carrying the run
-// key, an options fingerprint, and the stack, so one poisoned run
-// costs its own table cells and nothing else. Run/New errors are
-// wrapped the same way, and either path writes a crash dump when
-// Config.CrashDir is set. Each attempt gets a fresh observer (retried
-// runs must not double-record epochs) and its own deadline-bounded
-// context; snap is nil after a panic (the simulator may be
-// mid-mutation).
+// attempt executes one simulation with panic isolation: a panic
+// anywhere in the simulator becomes a *RunError carrying the run key,
+// an options fingerprint, and the stack, so one poisoned run costs its
+// own table cells and nothing else. Run/New errors are wrapped the same
+// way, and either path writes a crash dump when Config.CrashDir is set.
+// The run gets a fresh observer and its own deadline-bounded context;
+// snap is nil after a panic (the simulator may be mid-mutation).
 func (r *runner) attempt(key string, o core.Options) (res *core.Result, ob *obs.Observer, snap []obs.SnapshotEntry, err error) {
 	var sim *core.Simulator
 	defer func() {

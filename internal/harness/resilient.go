@@ -1,27 +1,22 @@
-// Resilient run lifecycle: per-run wall-clock deadlines, bounded
-// retries with deterministic seeded backoff for transient failures,
-// persistent result-store integration (lookups, artifact replay, and
-// retried commits), and graceful drain on SIGTERM — in-flight runs
-// cancel at their next poll barrier, completed results stay committed,
-// and the aborted keys are reported so a re-run resumes exactly the
-// missing cells from the store.
+// Resilient run lifecycle: per-run wall-clock deadlines, persistent
+// result-store integration (lookups, artifact replay, and commits), and
+// graceful drain on SIGTERM — in-flight runs cancel at their next poll
+// barrier, completed results stay committed, and the aborted keys are
+// reported so a re-run resumes exactly the missing cells from the
+// store.
 package harness
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"os"
 	"os/signal"
 	"sort"
 	"sync"
 	"syscall"
-	"time"
 
 	"mtprefetch/internal/core"
-	"mtprefetch/internal/simerr"
 	"mtprefetch/internal/store"
 )
 
@@ -119,17 +114,14 @@ func (l *Lifecycle) Aborted() []string {
 }
 
 // HandleSignals wires OS signals to Drain: the first SIGTERM/SIGINT
-// (or the given signals) begins a graceful drain, a second one exits
-// immediately. The returned stop function uninstalls the handler.
-func (l *Lifecycle) HandleSignals(sigs ...os.Signal) (stop func()) {
+// begins a graceful drain, a second one exits immediately. The returned
+// stop function uninstalls the handler.
+func (l *Lifecycle) HandleSignals() (stop func()) {
 	if l == nil {
 		return func() {}
 	}
-	if len(sigs) == 0 {
-		sigs = []os.Signal{syscall.SIGTERM, os.Interrupt}
-	}
 	ch := make(chan os.Signal, 2)
-	signal.Notify(ch, sigs...)
+	signal.Notify(ch, syscall.SIGTERM, os.Interrupt)
 	go func() {
 		sig, ok := <-ch
 		if !ok {
@@ -147,43 +139,7 @@ func (l *Lifecycle) HandleSignals(sigs ...os.Signal) (stop func()) {
 	}
 }
 
-// defaultRetryBackoff is the base delay between transient-failure
-// retries when Config.RetryBackoff is zero.
-const defaultRetryBackoff = 100 * time.Millisecond
-
-// maxBackoffShift caps the exponential growth (base << 6 = 64x).
-const maxBackoffShift = 6
-
-// retryDelay computes the deterministic, seeded backoff before retry
-// attempt (0-based) of key: exponential in the attempt with a jitter
-// factor in [0.5, 1.0) seeded by FNV-64a over (key, attempt). The
-// schedule decorrelates concurrent retries of different runs while any
-// two executions of the same sweep back off identically — wall clock
-// varies, results never do.
-func retryDelay(key string, attempt int, base time.Duration) time.Duration {
-	if base <= 0 {
-		base = defaultRetryBackoff
-	}
-	shift := attempt
-	if shift > maxBackoffShift {
-		shift = maxBackoffShift
-	}
-	h := fnv.New64a()
-	io.WriteString(h, key)                       //nolint:errcheck // hash writes cannot fail
-	fmt.Fprintf(h, "#%d", attempt)               //nolint:errcheck
-	jitter := 0.5 + float64(h.Sum64()&1023)/2048 // [0.5, 1.0)
-	return time.Duration(float64(base<<shift) * jitter)
-}
-
-// retries resolves the retry budget (negative treated as zero).
-func (c Config) retries() int {
-	if c.Retries < 0 {
-		return 0
-	}
-	return c.Retries
-}
-
-// runCtx derives one attempt's context: the lifecycle's drain context,
+// runCtx derives one run's context: the lifecycle's drain context,
 // deadline-bounded when RunTimeout is set. Both absent returns nil so
 // the simulator skips cancellation polling entirely.
 func (r *runner) runCtx() (context.Context, context.CancelFunc) {
@@ -242,25 +198,15 @@ func (r *runner) storeGet(key, fp string) (res *core.Result, ok bool, err error)
 }
 
 // storePut commits a completed run with the sink artifacts Finish
-// rendered for it, retrying transient commit faults on the same seeded
-// backoff schedule as run retries. A commit that stays failed degrades
-// the store (visible on /healthz and /store) but never the run: the
-// result is already in hand.
+// rendered for it. A failed commit is logged and degrades the store
+// (visible on /healthz and /store) but never the run: the result is
+// already in hand, and the next sweep commits it again.
 func (r *runner) storePut(key, fp string, artifacts map[string][]byte, res *core.Result) {
 	if fp == "" {
 		return
 	}
 	e := &store.Entry{Key: key, Fingerprint: fp, Result: res, Artifacts: artifacts}
-	var err error
-	for try := 0; ; try++ {
-		err = r.c.Store.Put(e)
-		if err == nil || !simerr.IsTransient(err) || try >= r.c.retries() || r.c.Lifecycle.Draining() {
-			break
-		}
-		r.c.Debug.RunRetried(key, try+1, err)
-		time.Sleep(retryDelay(key, try, r.c.RetryBackoff))
-	}
-	if err != nil {
+	if err := r.c.Store.Put(e); err != nil {
 		fmt.Fprintf(os.Stderr, "harness: store commit for %s failed: %v\n", key, err)
 	}
 }

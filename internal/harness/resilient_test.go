@@ -13,7 +13,6 @@ import (
 	"mtprefetch/internal/faults"
 	"mtprefetch/internal/memreq"
 	"mtprefetch/internal/obs"
-	"mtprefetch/internal/simerr"
 	"mtprefetch/internal/store"
 	"mtprefetch/internal/swpref"
 	"mtprefetch/internal/workload"
@@ -38,93 +37,13 @@ func mustJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
-// TestRetryTransientConverges: a run that transiently flakes under a
-// retry budget must succeed, be counted as retried, and return a
-// Result byte-identical to a never-faulted run.
-func TestRetryTransientConverges(t *testing.T) {
-	clean, err := newRunner(Config{}).run("k", resilientOptions(t, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDebugServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	r := newRunner(Config{Retries: 2, RetryBackoff: time.Millisecond, Debug: d})
-	o := resilientOptions(t, 8)
-	flake := &faults.FlakeRun{FailCycle: 1000, Fails: 2}
-	o.Inject = flake
-	got, err := r.run("k", o)
-	if err != nil {
-		t.Fatalf("run failed despite a sufficient retry budget: %v", err)
-	}
-	if g, c := mustJSON(t, got), mustJSON(t, clean); g != c {
-		t.Fatalf("retried result diverges from fault-free:\ngot  %s\nwant %s", g, c)
-	}
-	d.mu.Lock()
-	retried, st := d.retried, d.runs["k"]
-	d.mu.Unlock()
-	if retried != 2 || st == nil || st.Retries != 2 {
-		t.Fatalf("debug retry accounting: total=%d run=%+v, want 2 retries", retried, st)
-	}
-	if st.Status != "done" || st.Error != "" {
-		t.Fatalf("recovered run state = %+v, want done with cleared error", st)
-	}
-}
-
-// TestRetryBudgetExhausted: a flake outliving the budget fails with the
-// typed transient error after exactly 1+Retries attempts.
-func TestRetryBudgetExhausted(t *testing.T) {
-	r := newRunner(Config{Retries: 1, RetryBackoff: time.Millisecond})
-	o := resilientOptions(t, 8)
-	flake := &faults.FlakeRun{FailCycle: 1000, Fails: 10}
-	o.Inject = flake
-	_, err := r.run("k", o)
-	if err == nil {
-		t.Fatal("run succeeded with the flake still armed")
-	}
-	if !simerr.IsTransient(err) {
-		t.Fatalf("exhausted-retries error %v is not typed transient", err)
-	}
-	var re *RunError
-	if !errors.As(err, &re) || re.Key != "k" {
-		t.Fatalf("error %v is not a *RunError for k", err)
-	}
-}
-
-// TestNonTransientNoRetry: a permanent failure (livelock) must not
-// consume the retry budget.
-func TestNonTransientNoRetry(t *testing.T) {
-	d, err := NewDebugServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	r := newRunner(Config{Retries: 5, RetryBackoff: time.Millisecond, Debug: d})
-	o := resilientOptions(t, 8)
-	o.MaxCycles = 50_000_000
-	o.WatchdogWindow = 100_000
-	o.Inject = faults.StallIssue(0, 1000)
-	if _, err := r.run("k", o); !errors.Is(err, core.ErrLivelock) {
-		t.Fatalf("stalled run returned %v, want ErrLivelock", err)
-	}
-	d.mu.Lock()
-	retried := d.retried
-	d.mu.Unlock()
-	if retried != 0 {
-		t.Fatalf("permanent failure consumed %d retries, want 0", retried)
-	}
-}
-
 // TestRunTimeoutDeadline: RunTimeout bounds a simulation in wall clock;
-// the failure is a canceled-run error carrying DeadlineExceeded, not a
-// transient one (retrying a deterministic timeout cannot help). The
+// the failure is a canceled-run error carrying DeadlineExceeded. The
 // deadline is 1ns — already expired at the first poll barrier — so the
 // test does not race the simulator (event-driven skipping finishes
 // even large runs in well under a millisecond).
 func TestRunTimeoutDeadline(t *testing.T) {
-	r := newRunner(Config{RunTimeout: time.Nanosecond, Retries: 3})
+	r := newRunner(Config{RunTimeout: time.Nanosecond})
 	_, err := r.run("k", resilientOptions(t, 8))
 	if err == nil {
 		t.Fatal("an expired deadline did not abort the run")
@@ -135,9 +54,6 @@ func TestRunTimeoutDeadline(t *testing.T) {
 	var ce *core.CanceledError
 	if !errors.As(err, &ce) || ce.Benchmark != "stream" {
 		t.Fatalf("error %v is not a *CanceledError for stream", err)
-	}
-	if simerr.IsTransient(err) {
-		t.Fatal("deadline error is typed transient; it would retry pointlessly")
 	}
 }
 
@@ -246,14 +162,14 @@ func TestStoreSkippedForInjectedRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := newRunner(Config{Store: st, Retries: 1, RetryBackoff: time.Millisecond})
+	r := newRunner(Config{Store: st})
 	o := resilientOptions(t, 8)
-	o.Inject = &faults.FlakeRun{FailCycle: 1000, Fails: 1}
+	o.Inject = faults.New()
 	if _, err := r.run("k", o); err != nil {
 		t.Fatal(err)
 	}
 	s := st.Stats()
-	if s.Commits != 0 || s.Hits != 0 || s.Misses != 0 || st.Len() != 0 {
+	if s.Commits != 0 || s.Hits != 0 || s.Misses != 0 || s.Entries != 0 {
 		t.Fatalf("injected run touched the store: %+v", s)
 	}
 }
@@ -338,34 +254,6 @@ func TestLifecycleNilSafe(t *testing.T) {
 	stop()
 	if _, err := newRunner(Config{}).run("k", resilientOptions(t, 8)); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRetryDelayDeterministic: the backoff schedule is a pure function
-// of (key, attempt, base) — identical across executions — exponential,
-// jittered within [base<<n/2, base<<n), and capped.
-func TestRetryDelayDeterministic(t *testing.T) {
-	base := 100 * time.Millisecond
-	for attempt := 0; attempt < 10; attempt++ {
-		a := retryDelay("sw/stream/mt-swp/true", attempt, base)
-		b := retryDelay("sw/stream/mt-swp/true", attempt, base)
-		if a != b {
-			t.Fatalf("attempt %d: nondeterministic delay %v vs %v", attempt, a, b)
-		}
-		shift := attempt
-		if shift > maxBackoffShift {
-			shift = maxBackoffShift
-		}
-		hi := base << shift
-		if a < hi/2 || a >= hi {
-			t.Fatalf("attempt %d: delay %v outside [%v, %v)", attempt, a, hi/2, hi)
-		}
-	}
-	if retryDelay("a", 0, base) == retryDelay("b", 0, base) {
-		t.Fatal("different keys share a jitter (suspicious seeding)")
-	}
-	if retryDelay("k", 0, 0) == 0 {
-		t.Fatal("zero base did not fall back to the default backoff")
 	}
 }
 

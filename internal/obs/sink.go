@@ -41,8 +41,8 @@ var jsonlStreams = [...]struct {
 // from many goroutines. Each run's streams are rendered into buffers and
 // each buffer is flushed as one write, and its trace events are appended
 // under the sink lock, so concurrent runs never interleave inside each
-// other's records. Finish is idempotent per run key — a retried or
-// duplicated completion records nothing the second time.
+// other's records. Finish is idempotent per run key — two experiments
+// that share a run each finish it, and the second records nothing.
 //
 // A nil *Sink is fully disabled: Observer returns nil (which in turn
 // disables sampling and tracing inside the simulator) and Finish/Close do
@@ -218,7 +218,8 @@ func (s *Sink) Finish(runKey string, o *Observer) (map[string][]byte, error) {
 		return artifacts, nil
 	}
 	// Mark before writing: a failed write aborts the harness, and a
-	// retry must not append a second partial record to the shared files.
+	// later Finish of the same key must not append a second partial
+	// record to the shared files.
 	s.done[runKey] = true
 	if err := s.write(runKey, artifacts); err != nil {
 		return nil, err

@@ -15,46 +15,6 @@ import (
 // InvariantError, regardless of which component raised it.
 var ErrInvariant = errors.New("simulator invariant violated")
 
-// ErrTransient is the sentinel matched by errors.Is for every
-// TransientError: a failure that is expected to succeed on retry
-// because it came from the environment, not the simulated machine —
-// result-store I/O faults, injected chaos flakes. Simulation failures
-// (livelocks, invariant violations, rejected options) are deterministic
-// and deliberately never match it: retrying them would repeat the same
-// failure.
-var ErrTransient = errors.New("transient fault")
-
-// TransientError wraps an environmental failure that a bounded retry
-// may heal. The harness retries runs (and store commits) whose error
-// chain contains one; everything else fails fast.
-type TransientError struct {
-	// Op names the operation that failed ("store write", "store rename",
-	// "chaos"), for failure reports.
-	Op string
-	// Err is the underlying failure.
-	Err error
-}
-
-// Transient wraps err as a TransientError. A nil err returns nil.
-func Transient(op string, err error) error {
-	if err == nil {
-		return nil
-	}
-	return &TransientError{Op: op, Err: err}
-}
-
-// Error implements error.
-func (e *TransientError) Error() string {
-	return fmt.Sprintf("transient %s fault: %v", e.Op, e.Err)
-}
-
-// Unwrap exposes both the ErrTransient sentinel and the underlying
-// error to errors.Is/As traversal.
-func (e *TransientError) Unwrap() []error { return []error{ErrTransient, e.Err} }
-
-// IsTransient reports whether err's chain contains a transient fault.
-func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
-
 // InvariantError reports a broken conservation property inside the
 // simulated machine: state that the design guarantees can never occur
 // (an MSHR entry leak, a lost NoC flit, an unbalanced scoreboard

@@ -20,10 +20,10 @@
 //   - The index is the directory itself, rebuilt by scan at Open; no
 //     separate manifest can go stale or corrupt.
 //
-// Commit failures (ENOSPC, rename faults) are typed transient
-// (simerr.ErrTransient) so the harness's bounded-retry machinery
-// applies; a store whose last commit failed reports itself degraded,
-// which the debug server surfaces as HTTP 503 on /healthz.
+// A commit failure (ENOSPC, rename fault) costs only persistence: the
+// caller already holds the result. A store whose last commit failed
+// reports itself degraded, which the debug server surfaces as HTTP 503
+// on /healthz.
 package store
 
 import (
@@ -39,7 +39,6 @@ import (
 
 	"mtprefetch/internal/config"
 	"mtprefetch/internal/core"
-	"mtprefetch/internal/simerr"
 	"mtprefetch/internal/swpref"
 	"mtprefetch/internal/workload"
 )
@@ -83,7 +82,9 @@ type Stats struct {
 	Commits         int64  `json:"commits"`
 	CommitErrors    int64  `json:"commit_errors"`
 	LastCommitError string `json:"last_commit_error,omitempty"`
-	Degraded        bool   `json:"degraded"`
+	// Degraded: the most recent commit failed and none has succeeded
+	// since, so the store is effectively read-only.
+	Degraded bool `json:"degraded"`
 }
 
 // Store is the on-disk result store. It is safe for concurrent use —
@@ -148,13 +149,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	return s, nil
 }
 
-// Len reports how many entries the index knows about.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.known)
-}
-
 // Stats snapshots the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
@@ -169,15 +163,6 @@ func (s *Store) Stats() Stats {
 		LastCommitError: s.lastErr,
 		Degraded:        s.lastErr != "",
 	}
-}
-
-// Degraded reports whether the most recent commit failed (and no
-// commit has succeeded since): the store is effectively read-only and
-// /healthz serves 503 until a commit lands again.
-func (s *Store) Degraded() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastErr != ""
 }
 
 // Get looks up a fingerprint. need lists artifact names the caller
@@ -228,9 +213,8 @@ func (s *Store) Get(fp string, need ...string) (*Entry, bool) {
 }
 
 // Put commits an entry atomically: serialise into tmp/, make durable,
-// rename into entries/. Failures are typed transient
-// (simerr.ErrTransient) — the bounded-retry machinery applies — and
-// mark the store degraded until a later commit succeeds.
+// rename into entries/. A failure marks the store degraded until a
+// later commit succeeds.
 func (s *Store) Put(e *Entry) error {
 	if !validFingerprint(e.Fingerprint) {
 		return fmt.Errorf("store: invalid fingerprint %q", e.Fingerprint)
@@ -260,9 +244,10 @@ func (s *Store) Put(e *Entry) error {
 	return nil
 }
 
-// commitFailed records a commit failure and wraps it transient.
+// commitFailed records a commit failure and wraps it with the failed
+// operation and run key.
 func (s *Store) commitFailed(op, key string, err error) error {
-	werr := simerr.Transient("store "+op, fmt.Errorf("%s: %w", key, err))
+	werr := fmt.Errorf("store %s %s: %w", op, key, err)
 	s.mu.Lock()
 	s.cerrs++
 	s.lastErr = werr.Error()

@@ -10,7 +10,6 @@ import (
 
 	"mtprefetch/internal/config"
 	"mtprefetch/internal/core"
-	"mtprefetch/internal/simerr"
 	"mtprefetch/internal/swpref"
 	"mtprefetch/internal/workload"
 )
@@ -83,8 +82,8 @@ func TestStoreReopenServesCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 1 {
-		t.Fatalf("reopened store indexed %d entries, want 1", s2.Len())
+	if n := s2.Stats().Entries; n != 1 {
+		t.Fatalf("reopened store indexed %d entries, want 1", n)
 	}
 	if _, ok := s2.Get(fp); !ok {
 		t.Fatal("reopened store missed a committed entry")
@@ -282,8 +281,8 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if s.Len() != 32 {
-		t.Fatalf("store holds %d entries, want 32", s.Len())
+	if n := s.Stats().Entries; n != 32 {
+		t.Fatalf("store holds %d entries, want 32", n)
 	}
 }
 
@@ -318,14 +317,10 @@ func TestStoreCommitFailureDegradesAndHeals(t *testing.T) {
 	fp := mustFingerprint(t, "k", testOptions(t))
 
 	ffs.failWrite = true
-	err = s.Put(testEntry(fp))
-	if err == nil {
+	if err := s.Put(testEntry(fp)); err == nil {
 		t.Fatal("Put succeeded under an injected write fault")
 	}
-	if !simerr.IsTransient(err) {
-		t.Fatalf("commit failure %v is not typed transient", err)
-	}
-	if !s.Degraded() {
+	if !s.Stats().Degraded {
 		t.Fatal("store not degraded after a failed commit")
 	}
 	if _, ok := s.Get(fp); ok {
@@ -333,18 +328,21 @@ func TestStoreCommitFailureDegradesAndHeals(t *testing.T) {
 	}
 
 	ffs.failWrite, ffs.failRename = false, true
-	if err := s.Put(testEntry(fp)); !simerr.IsTransient(err) {
-		t.Fatalf("rename failure %v is not typed transient", err)
+	if err := s.Put(testEntry(fp)); err == nil {
+		t.Fatal("Put succeeded under an injected rename fault")
 	}
 	if _, ok := s.Get(fp); ok {
 		t.Fatal("rename-failed commit's entry was served")
+	}
+	if !s.Stats().Degraded {
+		t.Fatal("store not degraded after a failed rename")
 	}
 
 	ffs.failRename = false
 	if err := s.Put(testEntry(fp)); err != nil {
 		t.Fatal(err)
 	}
-	if s.Degraded() {
+	if s.Stats().Degraded {
 		t.Fatal("store still degraded after a successful commit")
 	}
 	st := s.Stats()
