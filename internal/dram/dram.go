@@ -5,6 +5,12 @@
 // Table II's 57.6 GB/s. Requests a full buffer refuses wait parked per
 // channel and are retried in arrival order (Offer, RetryParked).
 //
+// The controllers pay per event, not per cycle: each channel keeps a wake
+// entry (the earliest cycle it can retire or schedule) and Step touches
+// only the channels that are due; scheduled accesses retire from two
+// per-channel rings in schedule order; and a retry pass runs only on a
+// channel where a slot freed or a read was indexed since its last one.
+//
 // Demand requests have strictly higher scheduling priority than prefetch
 // requests (Table II) — the property that lets 100%-accurate prefetches
 // still delay demands and hurt performance (Section IV-B).
@@ -12,6 +18,7 @@ package dram
 
 import (
 	"fmt"
+	"slices"
 
 	"mtprefetch/internal/addrmap"
 	"mtprefetch/internal/cache"
@@ -70,9 +77,10 @@ type entry struct {
 	arrive uint64
 	doneAt uint64
 	// bank/row are cached from bankRow at enqueue: the address never
-	// changes, and the FR-FCFS priority scan reads them every cycle.
+	// changes, and the FR-FCFS rank scan reads them every cycle.
 	bank int
 	row  int64
+	pos  int // index in the channel's inflight slice while scheduled
 }
 
 type bank struct {
@@ -81,9 +89,20 @@ type bank struct {
 }
 
 type channel struct {
-	queue    ring.Buffer[*entry] // unscheduled, arrival order
-	inflight []*entry            // scheduled, awaiting doneAt
-	minDone  uint64              // min doneAt over inflight (stale when empty)
+	queue ring.Buffer[*entry] // unscheduled, arrival order
+	// inflight holds the scheduled entries; retirement swap-removes them,
+	// lowest position first, which fixes the order completions leave in
+	// one Step. bus and hits hold the same entries in schedule order, split
+	// by how they complete: each completes at the new busFreeAt, which only
+	// grows, or at cycle+L2HitLatency, and a channel schedules at most once
+	// per cycle, so doneAt strictly increases along each ring and the due
+	// entries are a prefix of each.
+	inflight []*entry
+	bus      ring.Buffer[*entry]
+	hits     ring.Buffer[*entry]
+	// wake is the earliest cycle the channel can act: cycle+1 while it can
+	// schedule, else its earliest completion, else never.
+	wake uint64
 	// reads indexes the non-writeback entries of queue+inflight by block
 	// address for O(1) inter-core merging; merging keeps it unique.
 	reads     *addrmap.Table[*entry]
@@ -94,19 +113,16 @@ type channel struct {
 	// parked holds requests the full queue refused, in arrival order;
 	// RetryParked re-offers them once the queue has room.
 	parked []*memreq.Request
-	// recheck is set when a read is indexed while requests are parked:
-	// one of them may now have a merge target, so the next RetryParked
-	// must look each one up even if the queue is full.
-	recheck bool
+	// retry marks the channel due a retry pass: while requests were
+	// parked, a schedule freed a queue slot or a read was indexed. fresh
+	// lists the addresses of those reads, the only merge targets a parked
+	// request can have gained since it was last refused.
+	retry bool
+	fresh []uint64
 }
 
-// track updates the channel's completion watermark as e joins inflight;
-// call immediately before appending.
-func (ch *channel) track(e *entry) {
-	if len(ch.inflight) == 0 || e.doneAt < ch.minDone {
-		ch.minDone = e.doneAt
-	}
-}
+// never is the wake entry of a channel with nothing to do.
+const never = ^uint64(0)
 
 // Memory is the whole off-chip memory system.
 type Memory struct {
@@ -115,7 +131,10 @@ type Memory struct {
 	chans     []*channel
 	pool      *memreq.Pool // nil: retired writebacks are garbage-collected
 	free      []*entry     // entry free-list; retirement recycles into it
+	due       []*entry     // retirement scratch: one channel's due entries
 	parked    int          // requests parked across all channels
+	retries   int          // channels marked due a retry pass
+	minWake   uint64       // minimum wake entry over the channels
 	stats     Stats
 }
 
@@ -170,9 +189,11 @@ func New(cfg Config) *Memory {
 		cfg:       cfg,
 		rowBlocks: uint64(cfg.RowBytes / cfg.BlockBytes),
 		chans:     make([]*channel, cfg.Channels),
+		minWake:   never,
 	}
 	for i := range m.chans {
 		ch := &channel{
+			wake:  never,
 			banks: make([]bank, cfg.Banks),
 			reads: addrmap.New[*entry](cfg.QueueSize + pipelineDepth),
 		}
@@ -251,52 +272,82 @@ func (m *Memory) Parked() int { return m.parked }
 // Offer delivers a request to its channel at the given cycle. A request
 // matching an already-buffered block merges (inter-core merging); one
 // that finds the queue full is parked at the back of the channel's FIFO,
-// modelling backpressure into the interconnect, and arrives for real
-// through RetryParked once a slot frees.
+// modelling backpressure into the interconnect, counted as one reject,
+// and arrives for real through RetryParked once a slot frees.
 func (m *Memory) Offer(cycle uint64, r *memreq.Request) {
 	ch := m.chans[m.ChannelOf(r.Addr)]
 	if !m.enqueue(cycle, ch, r) {
+		m.stats.Rejects++
 		ch.parked = append(ch.parked, r)
 		m.parked++
 	}
 }
 
-// RetryParked re-offers every channel's parked requests, oldest first.
-// Call it once per cycle, before that cycle's new arrivals, so parked
+// RetryParked re-offers parked requests, oldest first per channel. Call
+// it once per cycle, before that cycle's arrivals and Step, so parked
 // requests keep their place ahead of later traffic.
 //
-// Each attempt that meets a full queue counts as one reject, but a
-// channel whose queue is still full costs no per-request work: every
-// parked request was refused with no merge target at the time, and the
-// read index only grows through an accepted enqueue, which a full queue
-// rules out. Only recheck (a read indexed since) forces the lookups.
+// Every parked request counts one reject per call it stays parked, as if
+// each had been re-offered, but only a channel marked since its last pass
+// pays per-request work. Each parked request was refused by a full queue
+// for want of a merge target. A schedule that frees a slot marks the
+// channel, and so does an accepted read enqueue, the only way the read
+// index gains an entry, which also lists the address in fresh. So an
+// unmarked channel's queue is still full and every request on it would
+// be refused again. Likewise, once a pass fills the queue, only a request
+// whose address is in fresh can still merge, and the pass stops when
+// fresh is empty.
 func (m *Memory) RetryParked(cycle uint64) {
 	if m.parked == 0 {
 		return
 	}
-	for _, ch := range m.chans {
-		if len(ch.parked) == 0 {
-			continue
-		}
-		if ch.queue.Len() >= m.cfg.QueueSize && !ch.recheck {
-			m.stats.Rejects += uint64(len(ch.parked))
-			continue
-		}
-		kept := ch.parked[:0]
-		for _, r := range ch.parked {
-			if !m.enqueue(cycle, ch, r) {
-				kept = append(kept, r)
+	if m.retries > 0 {
+		for _, ch := range m.chans {
+			if ch.retry {
+				m.retryPass(cycle, ch)
 			}
 		}
-		clear(ch.parked[len(kept):])
-		m.parked -= len(ch.parked) - len(kept)
-		ch.parked = kept
-		ch.recheck = false
+	}
+	m.stats.Rejects += uint64(m.parked)
+}
+
+// retryPass re-offers one marked channel's parked requests and unmarks it.
+func (m *Memory) retryPass(cycle uint64, ch *channel) {
+	kept := ch.parked[:0]
+	for i, r := range ch.parked {
+		if ch.queue.Len() >= m.cfg.QueueSize {
+			if len(ch.fresh) == 0 {
+				kept = append(kept, ch.parked[i:]...)
+				break
+			}
+			if !slices.Contains(ch.fresh, r.Addr) {
+				kept = append(kept, r)
+				continue
+			}
+		}
+		if !m.enqueue(cycle, ch, r) {
+			kept = append(kept, r)
+		}
+	}
+	clear(ch.parked[len(kept):])
+	m.parked -= len(ch.parked) - len(kept)
+	ch.parked = kept
+	ch.fresh = ch.fresh[:0]
+	ch.retry = false
+	m.retries--
+}
+
+// markRetry marks ch due a retry pass; call only while requests are
+// parked on it.
+func (m *Memory) markRetry(ch *channel) {
+	if !ch.retry {
+		ch.retry = true
+		m.retries++
 	}
 }
 
 // enqueue offers r to channel ch, merging or buffering it; it returns
-// false, counting a reject, when the queue is full and r cannot merge.
+// false when the queue is full and r cannot merge.
 func (m *Memory) enqueue(cycle uint64, ch *channel, r *memreq.Request) bool {
 	if r.Kind != memreq.Writeback {
 		if e, ok := ch.reads.Get(r.Addr); ok {
@@ -312,7 +363,6 @@ func (m *Memory) enqueue(cycle uint64, ch *channel, r *memreq.Request) bool {
 	if ch.queue.Len() >= m.cfg.QueueSize {
 		// No stamp on a reject: the request waits parked and arrives for
 		// real when a slot frees.
-		m.stats.Rejects++
 		return false
 	}
 	r.StampSpan(memreq.SpanDRAMArrive, cycle)
@@ -321,10 +371,15 @@ func (m *Memory) enqueue(cycle uint64, ch *channel, r *memreq.Request) bool {
 	if r.Kind != memreq.Writeback {
 		ch.reads.Put(r.Addr, e)
 		if len(ch.parked) > 0 {
-			ch.recheck = true
+			ch.fresh = append(ch.fresh, r.Addr)
+			m.markRetry(ch)
 		}
 	}
 	ch.queue.Push(e)
+	if len(ch.inflight) < pipelineDepth && cycle < ch.wake {
+		ch.wake = cycle
+		m.minWake = min(m.minWake, cycle)
+	}
 	return true
 }
 
@@ -354,33 +409,23 @@ func (m *Memory) mergeInto(e *entry, r *memreq.Request) {
 // growth past the primed carve-out.
 const mergeEntryCap = 16
 
-// prio ranks an entry for FR-FCFS with demand priority: lower is better.
-func (m *Memory) prio(cycle uint64, ch *channel, e *entry) int {
-	hit := ch.banks[e.bank].openRow == e.row
-	demand := e.req.Kind == memreq.Demand
-	if !demand && m.cfg.AgePromote > 0 && cycle-e.arrive > uint64(m.cfg.AgePromote) {
-		demand = true
-	}
-	switch {
-	case demand && hit:
-		return 0
-	case demand:
-		return 1
-	case hit:
-		return 2
-	default:
-		return 3
-	}
-}
-
-// Step advances all channels to the given cycle: it completes finished
-// accesses (appending every satisfied request, including merged ones, to
-// done) and schedules new accesses. Writebacks complete silently and are
-// not appended. The extended done slice is returned.
+// Step advances the memory system to the given cycle: on each channel
+// that is due it completes finished accesses (appending every satisfied
+// request, including merged ones, to done) and schedules a new access.
+// Writebacks complete silently and are not appended. The extended done
+// slice is returned.
 func (m *Memory) Step(cycle uint64, done []*memreq.Request) []*memreq.Request {
-	for _, ch := range m.chans {
-		done = m.stepChannel(cycle, ch, done)
+	if cycle < m.minWake {
+		return done
 	}
+	next := never
+	for _, ch := range m.chans {
+		if ch.wake <= cycle {
+			done = m.stepChannel(cycle, ch, done)
+		}
+		next = min(next, ch.wake)
+	}
+	m.minWake = next
 	return done
 }
 
@@ -391,76 +436,115 @@ func (m *Memory) Step(cycle uint64, done []*memreq.Request) []*memreq.Request {
 const pipelineDepth = 32
 
 func (m *Memory) stepChannel(cycle uint64, ch *channel, done []*memreq.Request) []*memreq.Request {
-	// Retire completed accesses. The watermark makes the common
-	// nothing-due cycle a single comparison instead of an inflight walk.
-	if len(ch.inflight) > 0 && ch.minDone <= cycle {
-		newMin := ^uint64(0)
-		for i := 0; i < len(ch.inflight); {
-			e := ch.inflight[i]
-			if e.doneAt > cycle {
-				if e.doneAt < newMin {
-					newMin = e.doneAt
-				}
-				i++
-				continue
-			}
-			ch.inflight[i] = ch.inflight[len(ch.inflight)-1]
-			ch.inflight = ch.inflight[:len(ch.inflight)-1]
-			if e.req.Kind != memreq.Writeback {
-				ch.reads.Del(e.req.Addr)
-				e.req.StampSpan(memreq.SpanDRAMDone, cycle)
-				done = append(done, e.req)
-			} else {
-				m.pool.Put(e.req)
-			}
-			// Merged entries never hold writebacks (enqueue only merges reads).
-			for _, mr := range e.merged {
-				mr.StampSpan(memreq.SpanDRAMDone, cycle)
-			}
-			done = append(done, e.merged...)
-			m.putEntry(e)
-		}
-		ch.minDone = newMin
+	// Retire the due prefix of each ring, lowest inflight position first.
+	due := m.due[:0]
+	for e, ok := ch.bus.Front(); ok && e.doneAt <= cycle; e, ok = ch.bus.Front() {
+		ch.bus.Pop()
+		due = append(due, e)
 	}
+	for e, ok := ch.hits.Front(); ok && e.doneAt <= cycle; e, ok = ch.hits.Front() {
+		ch.hits.Pop()
+		due = append(due, e)
+	}
+	for len(due) > 0 {
+		k := 0
+		for j := 1; j < len(due); j++ {
+			if due[j].pos < due[k].pos {
+				k = j
+			}
+		}
+		e := due[k]
+		due[k] = due[len(due)-1]
+		due = due[:len(due)-1]
+		n := len(ch.inflight) - 1
+		last := ch.inflight[n]
+		ch.inflight[e.pos], last.pos = last, e.pos
+		ch.inflight[n] = nil
+		ch.inflight = ch.inflight[:n]
+		if e.req.Kind != memreq.Writeback {
+			ch.reads.Del(e.req.Addr)
+			e.req.StampSpan(memreq.SpanDRAMDone, cycle)
+			done = append(done, e.req)
+		} else {
+			m.pool.Put(e.req)
+		}
+		// Merged entries never hold writebacks (enqueue only merges reads).
+		for _, mr := range e.merged {
+			mr.StampSpan(memreq.SpanDRAMDone, cycle)
+		}
+		done = append(done, e.merged...)
+		m.putEntry(e)
+	}
+	m.due = due
 	// Schedule at most one new access per call while the pipeline has room.
-	if ch.queue.Len() == 0 || len(ch.inflight) >= pipelineDepth {
-		return done
-	}
-	best := -1
-	bestPrio := 4
-	for i := 0; i < ch.queue.Len(); i++ {
-		p := m.prio(cycle, ch, ch.queue.At(i))
-		if p < bestPrio { // ties resolved oldest-first by scan order
-			bestPrio = p
-			best = i
+	if ch.queue.Len() > 0 && len(ch.inflight) < pipelineDepth {
+		m.schedule(cycle, ch)
+		if ch.queue.Len() > 0 && len(ch.inflight) < pipelineDepth {
+			ch.wake = cycle + 1
+			return done
 		}
-		if bestPrio == 0 {
-			break
+	}
+	ch.wake = never
+	if e, ok := ch.bus.Front(); ok {
+		ch.wake = e.doneAt
+	}
+	if e, ok := ch.hits.Front(); ok && e.doneAt < ch.wake {
+		ch.wake = e.doneAt
+	}
+	return done
+}
+
+// schedule picks the next access by FR-FCFS with demand priority and
+// starts it. An entry's rank is (row miss) + 2*(not demand), lower first,
+// ties oldest-first; a prefetch that arrived before cut has waited longer
+// than AgePromote and ranks as a demand.
+func (m *Memory) schedule(cycle uint64, ch *channel) {
+	var cut uint64
+	if ap := uint64(m.cfg.AgePromote); ap > 0 && cycle > ap {
+		cut = cycle - ap
+	}
+	best, bestRank := 0, 4
+	for i := 0; i < ch.queue.Len(); i++ {
+		e := ch.queue.At(i)
+		rank := 0
+		if ch.banks[e.bank].openRow != e.row {
+			rank = 1
+		}
+		if e.req.Kind != memreq.Demand && e.arrive >= cut {
+			rank += 2
+		}
+		if rank < bestRank {
+			best, bestRank = i, rank
+			if rank == 0 {
+				break
+			}
 		}
 	}
 	e := ch.queue.RemoveAt(best)
+	if len(ch.parked) > 0 {
+		m.markRetry(ch)
+	}
 	e.req.StampSpan(memreq.SpanDRAMSched, cycle)
+	e.pos = len(ch.inflight)
+	ch.inflight = append(ch.inflight, e)
 	// L2 slice: a hit bypasses the banks and the data bus entirely.
 	if ch.l2 != nil && e.req.Kind != memreq.Writeback && ch.l2.Lookup(e.req.Addr) {
 		m.stats.L2Hits++
 		e.req.SpanFlag(memreq.FlagL2Hit)
 		e.doneAt = cycle + uint64(m.cfg.L2HitLatency)
-		ch.track(e)
-		ch.inflight = append(ch.inflight, e)
-		return done
+		ch.hits.Push(e)
+		return
 	}
 	if ch.l2 != nil && e.req.Kind != memreq.Writeback {
 		m.stats.L2Misses++
 	}
 	m.service(cycle, ch, e)
-	ch.track(e)
-	ch.inflight = append(ch.inflight, e)
+	ch.bus.Push(e)
 	if ch.l2 != nil {
 		// Fill on the way out (write-allocate for writebacks too); marked
 		// used so L2 evictions never pollute early-eviction accounting.
 		ch.l2.Fill(e.req.Addr, true)
 	}
-	return done
 }
 
 func (m *Memory) service(cycle uint64, ch *channel, e *entry) {
@@ -513,30 +597,18 @@ func (m *Memory) service(cycle uint64, ch *channel, e *entry) {
 
 // NextEvent reports the next cycle at which the memory system will act:
 // cycle+1 while any request is parked (every retry attempt is counted in
-// Stats.Rejects, so each cycle's RetryParked must run) or any channel
-// can schedule (queue occupied with pipeline room — FR-FCFS ranking and
-// age promotion are cycle-dependent, so every scheduling-opportunity
-// cycle must be visited), otherwise the earliest in-flight completion.
-// The maximum uint64 when fully drained. Part of the event-driven
-// cycle-skipping contract (see core.Run).
+// Stats.Rejects, so each cycle's RetryParked must run), otherwise the
+// minimum wake entry over the channels. A channel's entry is cycle+1
+// while it can schedule (queue occupied with pipeline room — FR-FCFS
+// ranking and age promotion are cycle-dependent, so every
+// scheduling-opportunity cycle must be visited), otherwise its earliest
+// in-flight completion. The maximum uint64 when fully drained. Part of
+// the event-driven cycle-skipping contract (see core.Run).
 func (m *Memory) NextEvent(cycle uint64) uint64 {
 	if m.parked > 0 {
 		return cycle + 1
 	}
-	// Cheap pass first: any channel able to schedule pins the next event
-	// to the very next cycle, making the in-flight scan unnecessary.
-	for _, ch := range m.chans {
-		if ch.queue.Len() > 0 && len(ch.inflight) < pipelineDepth {
-			return cycle + 1
-		}
-	}
-	next := ^uint64(0)
-	for _, ch := range m.chans {
-		if len(ch.inflight) > 0 && ch.minDone < next {
-			next = ch.minDone
-		}
-	}
-	return next
+	return m.minWake
 }
 
 // Drained reports whether no requests remain anywhere in the memory
@@ -557,7 +629,12 @@ func (m *Memory) Drained() bool {
 // (core.Options.Checks): the parked count matches the per-channel FIFOs,
 // every queue and service pipeline respects its bound, the read index
 // covers exactly the buffered reads, and each parked request waits on
-// its own channel and nowhere else.
+// its own channel and nowhere else. It also checks the per-event
+// bookkeeping: each completion ring's doneAt strictly increases, the
+// rings hold exactly the in-flight entries at their recorded positions,
+// no channel can act before its wake entry, the memory's minimum wake is
+// its channels', and the retry marks are counted and set wherever a pass
+// could find work.
 func (m *Memory) CheckInvariants(cycle uint64) error {
 	fail := func(name, format string, args ...any) error {
 		return &simerr.InvariantError{Component: "dram", Name: name, Cycle: cycle,
@@ -571,6 +648,7 @@ func (m *Memory) CheckInvariants(cycle uint64) error {
 		return fail("parked-count", "Parked() = %d but the channel FIFOs hold %d", m.parked, parked)
 	}
 	seen := make(map[*memreq.Request]bool)
+	marked, minWake := 0, never
 	for i, ch := range m.chans {
 		if n := ch.queue.Len(); n > m.cfg.QueueSize {
 			return fail("queue-bound", "channel %d queues %d entries, capacity %d", i, n, m.cfg.QueueSize)
@@ -609,6 +687,53 @@ func (m *Memory) CheckInvariants(cycle uint64) error {
 				return fail("parked-channel", "request %#x parked at channel %d, maps to %d", r.Addr, i, c)
 			}
 		}
+		for j, e := range ch.inflight {
+			if e.pos != j {
+				return fail("inflight-index", "channel %d: in-flight entry %d records position %d", i, j, e.pos)
+			}
+		}
+		if n := ch.bus.Len() + ch.hits.Len(); n != len(ch.inflight) {
+			return fail("inflight-index", "channel %d: rings hold %d entries, %d in flight", i, n, len(ch.inflight))
+		}
+		earliest := never
+		for _, rg := range []*ring.Buffer[*entry]{&ch.bus, &ch.hits} {
+			for j := 0; j < rg.Len(); j++ {
+				e := rg.At(j)
+				if e.pos >= len(ch.inflight) || ch.inflight[e.pos] != e {
+					return fail("inflight-index", "channel %d: ring entry %#x is not at its position %d", i, e.req.Addr, e.pos)
+				}
+				if j > 0 && e.doneAt <= rg.At(j-1).doneAt {
+					return fail("ring-order", "channel %d: ring entry %d completes at %d, its predecessor at %d",
+						i, j, e.doneAt, rg.At(j-1).doneAt)
+				}
+				earliest = min(earliest, e.doneAt)
+			}
+		}
+		if ch.queue.Len() > 0 && len(ch.inflight) < pipelineDepth {
+			earliest = min(earliest, cycle+1)
+		}
+		// Called after Step(cycle): the channel next acts at cycle+1 at
+		// the earliest, even for an access that completes at cycle.
+		earliest = max(earliest, cycle+1)
+		if ch.wake > earliest {
+			return fail("wake-entry", "channel %d can act at cycle %d but wakes at %d", i, earliest, ch.wake)
+		}
+		minWake = min(minWake, ch.wake)
+		switch {
+		case ch.retry && len(ch.parked) == 0:
+			return fail("retry-mark", "channel %d is marked for a retry pass with nothing parked", i)
+		case ch.retry:
+			marked++
+		case len(ch.parked) > 0 && (ch.queue.Len() < m.cfg.QueueSize || len(ch.fresh) > 0):
+			return fail("retry-mark", "channel %d parks %d requests beside a free slot or a fresh read but is not marked",
+				i, len(ch.parked))
+		}
+	}
+	if marked != m.retries {
+		return fail("retry-count", "%d channels counted as marked, %d flags set", m.retries, marked)
+	}
+	if minWake != m.minWake {
+		return fail("wake-min", "minimum wake %d, channels' minimum %d", m.minWake, minWake)
 	}
 	return nil
 }

@@ -12,14 +12,33 @@ import (
 
 // refModel is the naive backpressure model that per-channel parking must
 // reproduce: one global retry list in arrival order, every entry offered
-// through the per-request path on every cycle.
+// through the per-request path on every cycle, and one reject counted per
+// refused attempt. It steps its memory the way the controllers did before
+// they paid per event (step, in retire_test.go).
 type refModel struct {
-	m       *Memory
-	pending []*memreq.Request
+	m        *Memory
+	pending  []*memreq.Request
+	inflight [][]*entry // per channel, scheduled, awaiting doneAt
+	minDone  []uint64   // per channel, min doneAt over inflight (stale when empty)
+	cov      *parkCoverage
+}
+
+func newRefModel(cfg Config, cov *parkCoverage) *refModel {
+	return &refModel{m: New(cfg), inflight: make([][]*entry, cfg.Channels),
+		minDone: make([]uint64, cfg.Channels), cov: cov}
+}
+
+// try offers req through the per-request path, counting a refusal.
+func (r *refModel) try(cycle uint64, req *memreq.Request) bool {
+	if r.m.enqueue(cycle, r.m.chans[r.m.ChannelOf(req.Addr)], req) {
+		return true
+	}
+	r.m.stats.Rejects++
+	return false
 }
 
 func (r *refModel) offer(cycle uint64, req *memreq.Request) {
-	if !r.m.enqueue(cycle, r.m.chans[r.m.ChannelOf(req.Addr)], req) {
+	if !r.try(cycle, req) {
 		r.pending = append(r.pending, req)
 	}
 }
@@ -27,7 +46,7 @@ func (r *refModel) offer(cycle uint64, req *memreq.Request) {
 func (r *refModel) retry(cycle uint64) {
 	kept := r.pending[:0]
 	for _, req := range r.pending {
-		if !r.m.enqueue(cycle, r.m.chans[r.m.ChannelOf(req.Addr)], req) {
+		if !r.try(cycle, req) {
 			kept = append(kept, req)
 		}
 	}
@@ -39,6 +58,7 @@ type parkScenario struct {
 	cfg           Config
 	arrivalsFirst bool // offer each cycle's arrivals before retrying parked requests
 	cycles        int
+	maxGap        int // > 0: visit cycles up to maxGap apart, so several entries fall due per Step
 }
 
 func randomScenario(rng *rand.Rand) parkScenario {
@@ -70,32 +90,65 @@ func randomScenario(rng *rand.Rand) parkScenario {
 // writebacks over a small address pool (so requests merge onto entries
 // pushed earlier in the same retry pass), burst on a hot channel so it
 // stays full while the others drain, and upgrade buffered or parked
-// prefetches the way an MRQ demand merge does.
+// prefetches the way an MRQ demand merge does. Every third scenario
+// visits cycles with gaps, as the cycle-skipping loop does.
 func TestParkingMatchesReferenceModel(t *testing.T) {
 	var cov parkCoverage
 	for seed := uint64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
 		sc := randomScenario(rng)
+		if seed%3 == 0 {
+			sc.maxGap = 12
+		}
 		if err := runParkScenario(sc, rng, &cov); err != nil {
 			t.Fatalf("seed %d (%+v): %v", seed, sc, err)
 		}
 	}
 	// The streams must reach every path the equivalence argument covers.
-	if cov.shortcuts == 0 || cov.rechecks == 0 || cov.retryMerges == 0 {
-		t.Fatalf("streams missed a retry path: %+v", cov)
+	if cov.shortcuts == 0 || cov.freshChecks == 0 || cov.earlyStops == 0 || cov.retryMerges == 0 ||
+		cov.multiDue == 0 || cov.mixedDue == 0 {
+		t.Fatalf("streams missed a retry or retirement path: %+v", cov)
 	}
 }
 
-// parkCoverage counts how often the streams reached each retry path.
+// parkCoverage counts how often the streams reached each retry and
+// retirement path.
 type parkCoverage struct {
-	shortcuts   int    // full channel charged without lookups
-	rechecks    int    // full channel looked up because a read was indexed since
+	shortcuts   int    // unmarked channel charged without a pass
+	freshChecks int    // pass begun on a full queue with reads indexed since the last
+	earlyStops  int    // pass stopped on a full queue because no read was indexed
 	retryMerges uint64 // inter-core merges made by RetryParked
+	multiDue    int    // Step retired several bus accesses, or several L2 hits, of one channel
+	mixedDue    int    // Step retired an L2 hit and a bus access of one channel
+}
+
+// observe classifies the pass RetryParked is about to run on ch. With no
+// fresh read, no parked read can merge before one is indexed, so the
+// pass fills the queue's free slots in order and stops as soon as it is
+// full if every request that took a slot was a writeback.
+func (cov *parkCoverage) observe(ch *channel, queueSize int) {
+	if len(ch.parked) == 0 {
+		return
+	}
+	free := queueSize - ch.queue.Len()
+	switch {
+	case !ch.retry:
+		cov.shortcuts++
+	case len(ch.fresh) > 0 && free == 0:
+		cov.freshChecks++
+	case len(ch.fresh) == 0 && len(ch.parked) > free:
+		for _, r := range ch.parked[:free] {
+			if r.Kind != memreq.Writeback {
+				return
+			}
+		}
+		cov.earlyStops++
+	}
 }
 
 func runParkScenario(sc parkScenario, rng *rand.Rand, cov *parkCoverage) error {
 	got := New(sc.cfg)
-	ref := &refModel{m: New(sc.cfg)}
+	ref := newRefModel(sc.cfg, cov)
 	// Twin requests: index i is the same request on both sides.
 	var mine, theirs []*memreq.Request
 	id := map[*memreq.Request]int{}
@@ -109,22 +162,22 @@ func runParkScenario(sc parkScenario, rng *rand.Rand, cov *parkCoverage) error {
 	}
 	retry := func(c uint64) {
 		for _, ch := range got.chans {
-			if len(ch.parked) > 0 && ch.queue.Len() >= sc.cfg.QueueSize {
-				if ch.recheck {
-					cov.rechecks++
-				} else {
-					cov.shortcuts++
-				}
-			}
+			cov.observe(ch, sc.cfg.QueueSize)
 		}
 		merges := got.Stats().InterCoreMerges
 		got.RetryParked(c)
 		cov.retryMerges += got.Stats().InterCoreMerges - merges
 		ref.retry(c)
 	}
+	next := func(c uint64) uint64 {
+		if sc.maxGap == 0 {
+			return c + 1
+		}
+		return c + 1 + uint64(rng.IntN(sc.maxGap))
+	}
 	hot := uint64(rng.IntN(sc.cfg.Channels))
 	var arrA, arrB, doneA, doneB []*memreq.Request
-	for c := uint64(0); c < uint64(sc.cycles); c++ {
+	for c := uint64(0); c < uint64(sc.cycles); c = next(c) {
 		arrA, arrB = arrA[:0], arrB[:0]
 		if c < uint64(sc.cycles)*3/4 { // then drain
 			n := rng.IntN(3)
@@ -161,7 +214,7 @@ func runParkScenario(sc parkScenario, rng *rand.Rand, cov *parkCoverage) error {
 			retry(c)
 		}
 		doneA = got.Step(c, doneA[:0])
-		doneB = ref.m.Step(c, doneB[:0])
+		doneB = ref.step(c, doneB[:0])
 		if len(doneA) != len(doneB) {
 			return fmt.Errorf("cycle %d: %d completions, reference %d", c, len(doneA), len(doneB))
 		}
@@ -180,13 +233,13 @@ func runParkScenario(sc parkScenario, rng *rand.Rand, cov *parkCoverage) error {
 			return err
 		}
 	}
-	for c := uint64(sc.cycles); !got.Drained() || !ref.m.Drained() || len(ref.pending) > 0; c++ {
+	for c := uint64(sc.cycles); !got.Drained() || !ref.drained(); c = next(c) {
 		if c > uint64(sc.cycles)+100_000 {
 			return errors.New("did not drain")
 		}
 		retry(c)
 		doneA = got.Step(c, doneA[:0])
-		doneB = ref.m.Step(c, doneB[:0])
+		doneB = ref.step(c, doneB[:0])
 		for i := range doneA {
 			if i >= len(doneB) || id[doneA[i]] != id[doneB[i]] {
 				return fmt.Errorf("drain cycle %d: completion order diverged", c)
@@ -241,5 +294,52 @@ func TestCheckInvariantsCatchesDoubleBooking(t *testing.T) {
 	var ie *simerr.InvariantError
 	if err := m.CheckInvariants(1); !errors.As(err, &ie) || ie.Name != "parked-exclusive" {
 		t.Fatalf("double-booked request returned %v, want dram/parked-exclusive", err)
+	}
+}
+
+// TestCheckInvariantsCatchesBookkeeping corrupts, one at a time, each
+// piece of the per-event bookkeeping and expects the sweep to name the
+// invariant it breaks.
+func TestCheckInvariantsCatchesBookkeeping(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(m *Memory)
+	}{
+		{"ring-order", func(m *Memory) {
+			a, b := m.chans[0].bus.At(0), m.chans[0].bus.At(1)
+			a.doneAt, b.doneAt = b.doneAt, a.doneAt
+		}},
+		{"inflight-index", func(m *Memory) { m.chans[0].inflight[0].pos = 1 }},
+		{"wake-entry", func(m *Memory) { m.chans[0].wake = never }},
+		{"wake-min", func(m *Memory) { m.minWake = 0 }},
+		{"retry-count", func(m *Memory) { m.retries++ }},
+		{"retry-mark", func(m *Memory) { m.chans[0].retry, m.retries = false, 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Channel 0, one queue slot: three accesses in flight on the
+			// bus ring, one request parked behind the slot the last
+			// schedule freed.
+			cfg := testConfig()
+			cfg.QueueSize = 1
+			m := New(cfg)
+			m.Offer(0, demand(0))
+			m.Offer(0, demand(128))
+			m.Step(0, nil)
+			m.RetryParked(1)
+			m.Step(1, nil)
+			m.RetryParked(2)
+			m.Offer(2, demand(256))
+			m.Offer(2, demand(384))
+			m.Step(2, nil)
+			if err := m.CheckInvariants(2); err != nil {
+				t.Fatalf("clean state flagged: %v", err)
+			}
+			tc.corrupt(m)
+			var ie *simerr.InvariantError
+			if err := m.CheckInvariants(2); !errors.As(err, &ie) || ie.Component != "dram" || ie.Name != tc.name {
+				t.Fatalf("corruption returned %v, want dram/%s", err, tc.name)
+			}
+		})
 	}
 }
