@@ -4,13 +4,21 @@ GO ?= go
 
 # The full gate used before committing: vet, build, race-enabled tests
 # (including the scaled-down parallel-harness sweep, see harness_test.go,
-# and the allocation budgets, see alloc_test.go), then the
-# fault-injection suite. It writes no tracked file.
+# and the allocation budgets, see alloc_test.go), the fault-injection
+# suite, then 15 s of fuzzing each for the coalescer against its per-lane
+# reference (FuzzTransactions), DRAM retirement against the per-cycle
+# walk (FuzzRetireOrder) and the kernel-spec parser (FuzzParseSpec);
+# plain `go test` only replays their seed corpora. It writes no tracked
+# file unless a fuzz target fails, when Go saves the failing input
+# under that package's testdata/fuzz.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(MAKE) chaos
+	$(GO) test -run '^$$' -fuzz '^FuzzTransactions$$' -fuzztime 15s ./internal/kernel
+	$(GO) test -run '^$$' -fuzz '^FuzzRetireOrder$$' -fuzztime 15s ./internal/dram
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 15s ./internal/workload
 
 # Fault-injection suite: injected livelocks, dropped completions, and
 # corrupted stride tables must be caught by the watchdog / invariant

@@ -90,24 +90,6 @@ func BenchmarkAblationHarmControl(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationL2 measures the Section XI future-work extension: a
-// shared L2 slice at the memory controllers, with and without MT-HWP on
-// top.
-func BenchmarkAblationL2(b *testing.B) {
-	spec := coreBenchSpec(b, "sepia")
-	cfg := config.Baseline()
-	cfg.L2Bytes = 512 * 1024
-	cfg.L2Ways = 16
-	cfg.L2HitLatency = 20
-	for i := 0; i < b.N; i++ {
-		base := ablationRun(b, core.Options{Workload: spec})
-		l2 := ablationRun(b, core.Options{Config: cfg, Workload: spec})
-		both := ablationRun(b, core.Options{Config: cfg, Workload: spec, Hardware: mthwpFactory})
-		b.ReportMetric(l2.Speedup(base), "l2-only")
-		b.ReportMetric(both.Speedup(base), "l2+mthwp")
-	}
-}
-
 // BenchmarkAblationGHBLocalization compares CZone (AC/DC) vs PC (PC/DC)
 // localization of the GHB.
 func BenchmarkAblationGHBLocalization(b *testing.B) {

@@ -74,9 +74,8 @@ func New(sizeBytes, ways, blockBytes int) *Cache {
 func (c *Cache) Empty() bool { return c.occupied == 0 }
 
 // Gen reports the resident-set generation: it changes whenever a block
-// is inserted (FillProv's insert path, with or without a victim) or
-// invalidated, and at no other time — Lookup, Contains and a duplicate
-// fill leave it alone. Any residency answer computed at one generation
+// is inserted (FillProv's insert path, with or without a victim), and at
+// no other time — Lookup, Contains and a duplicate fill leave it alone. Any residency answer computed at one generation
 // therefore still holds while Gen returns the same value.
 func (c *Cache) Gen() uint64 { return c.gen }
 
@@ -169,7 +168,7 @@ func (c *Cache) Contains(addr uint64) bool {
 }
 
 // Fill inserts a prefetched block with no provenance (unattributed
-// callers: the shared L2 slice, tests). See FillProv.
+// callers: tests). See FillProv.
 func (c *Cache) Fill(addr uint64, used bool) (earlyEvict bool, victimAddr uint64) {
 	return c.FillProv(addr, used, memreq.Provenance{})
 }
@@ -250,31 +249,6 @@ func (c *Cache) FillProv(addr uint64, used bool, prov memreq.Provenance) (earlyE
 	return earlyEvict, victimAddr
 }
 
-// Invalidate drops a block if present, reporting whether it was resident.
-// An unused invalidated block counts as an early eviction.
-func (c *Cache) Invalidate(addr uint64) bool {
-	if c.sets == 0 {
-		return false
-	}
-	set := c.set(addr)
-	tag := addr >> c.blockBits
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			if !set[i].used {
-				c.stats.EarlyEvictions++
-				if c.pf != nil {
-					c.pf.Record(set[i].prov, memreq.OutEarlyEvicted)
-				}
-			}
-			set[i].valid = false
-			c.occupied--
-			c.gen++
-			return true
-		}
-	}
-	return false
-}
-
 // DrainUnused terminally classifies every still-resident, never-used line
 // as unused-at-drain. The simulator calls it once when the run ends so
 // the outcome ledger closes (every issued prefetch has exactly one fate).
@@ -301,8 +275,8 @@ func (c *Cache) Occupancy() int {
 }
 
 // CheckInvariants verifies line accounting (core.Options.Checks): the
-// occupancy counter must match the number of valid lines — a fill or
-// invalidation that loses track of a line breaks it — and the demand
+// occupancy counter must match the number of valid lines — a fill that
+// loses track of a line breaks it — and the demand
 // lookup counters must satisfy Accesses == Hits + Misses.
 func (c *Cache) CheckInvariants(cycle uint64, core int) error {
 	if valid := c.Occupancy(); valid != c.occupied {

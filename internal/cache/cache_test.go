@@ -136,23 +136,6 @@ func TestContainsDoesNotPerturb(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New(16*1024, 8, 64)
-	c.Fill(0x80, false)
-	if !c.Invalidate(0x80) {
-		t.Fatal("Invalidate missed resident block")
-	}
-	if c.Lookup(0x80) {
-		t.Fatal("block resident after invalidate")
-	}
-	if got := c.Stats().EarlyEvictions; got != 1 {
-		t.Errorf("unused invalidation should count early: %d", got)
-	}
-	if c.Invalidate(0x80) {
-		t.Error("Invalidate hit absent block")
-	}
-}
-
 func TestZeroSizeCacheAlwaysMisses(t *testing.T) {
 	c := New(0, 8, 64)
 	if c.Lookup(0x40) || c.Contains(0x40) {
@@ -160,9 +143,6 @@ func TestZeroSizeCacheAlwaysMisses(t *testing.T) {
 	}
 	if early, _ := c.Fill(0x40, false); early {
 		t.Error("zero-size cache fill reported eviction")
-	}
-	if c.Invalidate(0x40) {
-		t.Error("zero-size cache invalidated something")
 	}
 	if c.Occupancy() != 0 {
 		t.Error("zero-size cache occupied")
@@ -185,19 +165,16 @@ func TestAccountingInvariants(t *testing.T) {
 		c := New(1024, 4, 64)
 		for _, op := range ops {
 			addr := uint64(op%64) * 64
-			switch op % 3 {
-			case 0:
+			if op%2 == 0 {
 				c.Lookup(addr)
-			case 1:
+			} else {
 				c.Fill(addr, op%5 == 0)
-			case 2:
-				c.Invalidate(addr)
 			}
 		}
 		s := c.Stats()
 		// Evictions never exceed fills; early evictions never exceed
-		// evictions+invalidations; occupancy bounded by capacity.
-		if s.Evictions > s.Fills {
+		// evictions; occupancy bounded by capacity.
+		if s.Evictions > s.Fills || s.EarlyEvictions > s.Evictions {
 			return false
 		}
 		if c.Occupancy() > 16 {
@@ -244,8 +221,6 @@ func TestGenTracksResidentSet(t *testing.T) {
 		{"lookup miss", func() { c.Lookup(64) }, false},
 		{"contains", func() { c.Contains(0); c.Contains(64) }, false},
 		{"insert with eviction", func() { c.Fill(128, false) }, true},
-		{"invalidate miss", func() { c.Invalidate(0) }, false},
-		{"invalidate hit", func() { c.Invalidate(128) }, true},
 	}
 	for _, s := range steps {
 		before := c.Gen()

@@ -80,12 +80,6 @@ type Config struct {
 	DRAMOverhead   int // fixed controller/DRAM-core overhead per access, core cycles
 	DRAMAgePromote int // cycles before a queued prefetch gains demand priority (0 = never)
 
-	// Optional shared L2 at the memory controllers (Section XI future
-	// work; the Table II baseline has none, so L2Bytes defaults to 0).
-	L2Bytes      int
-	L2Ways       int
-	L2HitLatency int
-
 	// Per-core memory request queue (MRQ).
 	MRQSize int
 	// MRQPrefetchReserve keeps this many MRQ entries usable only by
@@ -234,10 +228,6 @@ func (c *Config) Validate() error {
 		return errors.New("config: DRAMOverhead must be non-negative")
 	case c.DRAMAgePromote < 0:
 		return errors.New("config: DRAMAgePromote must be non-negative")
-	case c.L2Bytes < 0 || c.L2HitLatency < 0:
-		return errors.New("config: L2 parameters must be non-negative")
-	case c.L2Bytes > 0 && c.L2Ways <= 0:
-		return errors.New("config: L2Ways must be positive when L2 is enabled")
 	case c.MRQSize <= 0:
 		return errors.New("config: MRQSize must be positive")
 	case c.MRQPrefetchReserve < 0 || c.MRQPrefetchReserve >= c.MRQSize:

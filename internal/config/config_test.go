@@ -150,19 +150,8 @@ func TestSchedPolicyString(t *testing.T) {
 	}
 }
 
-func TestValidateL2AndReserve(t *testing.T) {
+func TestValidateReserveAndAgePromote(t *testing.T) {
 	c := Baseline()
-	c.L2Bytes = 1 << 20
-	c.L2Ways = 0
-	if err := c.Validate(); err == nil {
-		t.Error("L2 without ways accepted")
-	}
-	c = Baseline()
-	c.L2Bytes = -1
-	if err := c.Validate(); err == nil {
-		t.Error("negative L2Bytes accepted")
-	}
-	c = Baseline()
 	c.MRQPrefetchReserve = c.MRQSize
 	if err := c.Validate(); err == nil {
 		t.Error("reserve equal to MRQ size accepted")

@@ -31,8 +31,6 @@ func TestOptionsRejection(t *testing.T) {
 		{"invalid spec", Options{Workload: &badSpec}, "Workload"},
 		{"watchdog wider than run", Options{Workload: valid,
 			MaxCycles: 1000, WatchdogWindow: 2000}, "WatchdogWindow"},
-		{"watchdog window with NoWatchdog", Options{Workload: valid,
-			NoWatchdog: true, WatchdogWindow: 100}, "WatchdogWindow"},
 		{"check period without Checks", Options{Workload: valid,
 			CheckEvery: 1024}, "CheckEvery"},
 	}
@@ -58,7 +56,6 @@ func TestOptionsRejection(t *testing.T) {
 func TestOptionsAccepted(t *testing.T) {
 	for _, o := range []Options{
 		{Workload: workload.ByName("stream")},
-		{Workload: workload.ByName("stream"), NoWatchdog: true},
 		{Workload: workload.ByName("stream"), Checks: true},
 		{Workload: workload.ByName("stream"), MaxCycles: 100}, // window clamps to MaxCycles
 	} {

@@ -45,8 +45,6 @@ type Options struct {
 	// Software selects a software-prefetching transform applied to the
 	// kernel before the run (swpref.None for the baseline binary).
 	Software swpref.Mode
-	// SoftwareOptions tunes the transform (distance etc.).
-	SoftwareOptions swpref.Options
 	// Hardware, when non-nil, is called once per core to build its
 	// hardware prefetcher.
 	Hardware func() prefetch.Prefetcher
@@ -68,10 +66,6 @@ type Options struct {
 	// MaxCycles. Zero selects the default, min(1M, MaxCycles). Must not
 	// exceed MaxCycles.
 	WatchdogWindow uint64
-	// NoWatchdog disables the forward-progress watchdog entirely (for
-	// chaos tests that want the raw MaxCycles timeout). Setting it
-	// together with a non-zero WatchdogWindow is rejected.
-	NoWatchdog bool
 	// Checks enables the periodic invariant sweep: MRQ entry accounting,
 	// NoC flit conservation, scoreboard release balance, prefetch-cache
 	// line accounting, and DRAM buffer and parking bookkeeping. Off by
@@ -145,8 +139,11 @@ type Result struct {
 	MemTransactions  uint64 // DRAM accesses actually serviced
 	BytesTransferred uint64
 	RowHitRate       float64
-	L2Hits           uint64 // optional shared L2 (0 when disabled)
-	L2Misses         uint64
+	// L2Hits and L2Misses are always zero: the modelled memory system
+	// has no L2 (Table II). They stay until the benchmark's golden
+	// results, which pin every Result field, are regenerated without them.
+	L2Hits   uint64
+	L2Misses uint64
 
 	// Throttle behaviour.
 	ThrottlePeriods   uint64
@@ -223,7 +220,7 @@ type Simulator struct {
 	runFault    RunFaulter      // non-nil when the injector can abort the run
 	ctx         context.Context // nil unless Options.Ctx bounded the run
 	nextCtx     uint64          // next cycle the cancellation poll is due
-	watchWindow uint64          // 0 disables the watchdog
+	watchWindow uint64          // forward-progress window, never 0
 	nextWatch   uint64
 	fills       uint64 // memory fills delivered to cores
 	lastInstr   uint64 // watchdog: instructions at last window boundary
@@ -270,10 +267,6 @@ func New(o Options) (*Simulator, error) {
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 500_000_000
 	}
-	if o.NoWatchdog && o.WatchdogWindow > 0 {
-		return nil, &OptionError{Field: "WatchdogWindow",
-			Reason: "set together with NoWatchdog; pick one"}
-	}
 	if o.WatchdogWindow > o.MaxCycles {
 		return nil, &OptionError{Field: "WatchdogWindow",
 			Reason: fmt.Sprintf("(%d) exceeds MaxCycles (%d): the watchdog could never fire", o.WatchdogWindow, o.MaxCycles)}
@@ -289,7 +282,7 @@ func New(o Options) (*Simulator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, &OptionError{Field: "Workload", Err: err}
 	}
-	spec, _, err := swpref.Apply(spec, o.Software, o.SoftwareOptions)
+	spec, _, err := swpref.Apply(spec, o.Software, swpref.Options{})
 	if err != nil {
 		return nil, &OptionError{Field: "Software", Err: err}
 	}
@@ -300,20 +293,17 @@ func New(o Options) (*Simulator, error) {
 		spec: spec,
 		net:  noc.New(cfg.NOCLatency, cfg.MaxInjectPerCycle()),
 		mem: dram.New(dram.Config{
-			Channels:     cfg.DRAMChannels,
-			Banks:        cfg.DRAMBanks,
-			RowBytes:     cfg.DRAMRowBytes,
-			BlockBytes:   cfg.BlockBytes,
-			QueueSize:    cfg.DRAMQueueSize,
-			TCL:          cfg.DRAMCyclesToCore(cfg.DRAMtCL),
-			TRCD:         cfg.DRAMCyclesToCore(cfg.DRAMtRCD),
-			TRP:          cfg.DRAMCyclesToCore(cfg.DRAMtRP),
-			BusCycles:    cfg.BusCyclesBlock,
-			Overhead:     cfg.DRAMOverhead,
-			AgePromote:   cfg.DRAMAgePromote,
-			L2Bytes:      cfg.L2Bytes,
-			L2Ways:       cfg.L2Ways,
-			L2HitLatency: cfg.L2HitLatency,
+			Channels:   cfg.DRAMChannels,
+			Banks:      cfg.DRAMBanks,
+			RowBytes:   cfg.DRAMRowBytes,
+			BlockBytes: cfg.BlockBytes,
+			QueueSize:  cfg.DRAMQueueSize,
+			TCL:        cfg.DRAMCyclesToCore(cfg.DRAMtCL),
+			TRCD:       cfg.DRAMCyclesToCore(cfg.DRAMtRCD),
+			TRP:        cfg.DRAMCyclesToCore(cfg.DRAMtRP),
+			BusCycles:  cfg.BusCyclesBlock,
+			Overhead:   cfg.DRAMOverhead,
+			AgePromote: cfg.DRAMAgePromote,
 		}),
 		disp: &dispatcher{total: spec.Blocks},
 		opts: o,
@@ -344,16 +334,11 @@ func New(o Options) (*Simulator, error) {
 	// single arena.
 	s.pool.Prime(cfg.NumCores * cfg.MRQSize)
 	s.mem.SetPool(s.pool)
-	if !o.NoWatchdog {
-		s.watchWindow = o.WatchdogWindow
-		if s.watchWindow == 0 {
-			s.watchWindow = defaultWatchdogWindow
-			if s.watchWindow > o.MaxCycles {
-				s.watchWindow = o.MaxCycles
-			}
-		}
-		s.nextWatch = s.watchWindow
+	s.watchWindow = o.WatchdogWindow
+	if s.watchWindow == 0 {
+		s.watchWindow = min(defaultWatchdogWindow, o.MaxCycles)
 	}
+	s.nextWatch = s.watchWindow
 	if o.Checks {
 		s.checkEvery = o.CheckEvery
 		s.nextCheck = s.checkEvery
@@ -540,7 +525,7 @@ func (s *Simulator) Run() (*Result, error) {
 			}
 			s.nextCheck = cyc + s.checkEvery
 		}
-		if s.watchWindow != 0 && cyc >= s.nextWatch {
+		if cyc >= s.nextWatch {
 			if err := s.checkProgress(cyc); err != nil {
 				return nil, err
 			}
@@ -742,7 +727,7 @@ func (s *Simulator) nextEventCycle(cyc uint64) uint64 {
 	if s.checkEvery != 0 && s.nextCheck < next {
 		next = s.nextCheck
 	}
-	if s.watchWindow != 0 && s.nextWatch < next {
+	if s.nextWatch < next {
 		next = s.nextWatch
 	}
 	if s.ctx != nil && s.nextCtx < next {
@@ -885,8 +870,6 @@ func (s *Simulator) collect() *Result {
 	rowHits := reg.Sum("dram.row_hits")
 	r.RowHitRate = stats.Ratio(rowHits,
 		rowHits+reg.Sum("dram.row_misses")+reg.Sum("dram.row_closed"))
-	r.L2Hits = reg.Sum("dram.l2_hits")
-	r.L2Misses = reg.Sum("dram.l2_misses")
 	r.ThrottlePeriods = reg.Sum("throttle.periods")
 	r.NoPrefetchPeriods = reg.Sum("throttle.no_prefetch_periods")
 	r.MTHWP = prefetch.MTHWPStats{

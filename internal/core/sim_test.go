@@ -235,19 +235,3 @@ func TestPollutionFilterDropsHarmfulPCs(t *testing.T) {
 			blind.Speedup(base), filtered.Speedup(base))
 	}
 }
-
-func TestL2ImprovesMemoryBoundWorkload(t *testing.T) {
-	spec := tiny(t, "sepia") // heavy reuse: an L2 should capture it
-	base := mustRun(t, Options{Workload: spec})
-	cfg := config.Baseline()
-	cfg.L2Bytes = 512 * 1024
-	cfg.L2Ways = 16
-	cfg.L2HitLatency = 20
-	l2 := mustRun(t, Options{Workload: spec, Config: cfg})
-	if l2.L2Hits == 0 {
-		t.Fatal("L2 never hit")
-	}
-	if sp := l2.Speedup(base); sp < 1.05 {
-		t.Errorf("L2 speedup on reuse-heavy workload = %.3f, want > 1.05", sp)
-	}
-}

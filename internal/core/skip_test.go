@@ -85,11 +85,10 @@ type equivConfig struct {
 
 // equivConfigs spans the Options space: baseline, both software
 // transforms, every hardware prefetcher family with throttling and
-// filtering, perfect memory, the invariant sweep, the optional L2 and
-// DRAM scheduling without age promotion — so the streams cover both
-// request kinds, the MRQ merge/reject paths, throttle-degree and
-// prefetch trace events, every attribution outcome, and both DRAM
-// completion rings.
+// filtering, perfect memory, the invariant sweep and DRAM scheduling
+// without age promotion — so the streams cover both request kinds, the
+// MRQ merge/reject paths, throttle-degree and prefetch trace events, and
+// every attribution outcome.
 func equivConfigs(t *testing.T) []equivConfig {
 	t.Helper()
 	mthwp := func() prefetch.Prefetcher {
@@ -98,8 +97,6 @@ func equivConfigs(t *testing.T) []equivConfig {
 	strideRPT := func() prefetch.Prefetcher {
 		return prefetch.NewStrideRPT(prefetch.StrideRPTOptions{WarpAware: true})
 	}
-	l2 := config.Baseline()
-	l2.L2Bytes, l2.L2Ways, l2.L2HitLatency = 512*1024, 16, 20
 	noPromote := config.Baseline()
 	noPromote.DRAMAgePromote = 0
 	return []equivConfig{
@@ -118,7 +115,6 @@ func equivConfigs(t *testing.T) []equivConfig {
 			}}},
 		{"perfect-memory", Options{Workload: tiny(t, "monte"), PerfectMemory: true}},
 		{"checks", Options{Workload: tiny(t, "stream"), Checks: true, CheckEvery: 1000}},
-		{"l2", Options{Workload: tiny(t, "sepia"), Config: l2}},
 		{"no-age-promote", Options{Workload: tiny(t, "stream"), Config: noPromote, Hardware: mthwp}},
 	}
 }

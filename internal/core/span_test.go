@@ -124,7 +124,6 @@ type spanLine struct {
 	NoCResp     uint64 `json:"noc_resp"`
 	Total       uint64 `json:"total"`
 	DRAMMerged  bool   `json:"dram_merged"`
-	L2Hit       bool   `json:"l2_hit"`
 }
 
 // TestSpanStreamCrossFoots parses the JSONL a real run emits and

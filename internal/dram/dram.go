@@ -7,8 +7,8 @@
 //
 // The controllers pay per event, not per cycle: each channel keeps a wake
 // entry (the earliest cycle it can retire or schedule) and Step touches
-// only the channels that are due; scheduled accesses retire from two
-// per-channel rings in schedule order; and a retry pass runs only on a
+// only the channels that are due; scheduled accesses retire from one
+// per-channel ring in schedule order; and a retry pass runs only on a
 // channel where a slot freed or a read was indexed since its last one.
 //
 // Demand requests have strictly higher scheduling priority than prefetch
@@ -21,7 +21,6 @@ import (
 	"slices"
 
 	"mtprefetch/internal/addrmap"
-	"mtprefetch/internal/cache"
 	"mtprefetch/internal/memreq"
 	"mtprefetch/internal/obs"
 	"mtprefetch/internal/ring"
@@ -46,14 +45,6 @@ type Config struct {
 	// this many core cycles is scheduled at demand priority. Zero
 	// disables promotion (strict demand-first).
 	AgePromote int
-
-	// L2Bytes, when non-zero, adds a shared L2 cache slice at each memory
-	// controller — the "more complex memory hierarchies" extension the
-	// paper's Section XI leaves to future work. The paper's baseline has
-	// no L2; this is off by default.
-	L2Bytes      int // total bytes, divided evenly across channels
-	L2Ways       int
-	L2HitLatency int // core cycles for an L2 hit, replacing the DRAM access
 }
 
 // Stats are the memory system's lifetime counters.
@@ -64,8 +55,6 @@ type Stats struct {
 	RowHits         uint64
 	RowMisses       uint64 // row conflict: another row was open
 	RowClosed       uint64 // bank was idle/closed
-	L2Hits          uint64
-	L2Misses        uint64
 	InterCoreMerges uint64 // Fig. 2b merges
 	Rejects         uint64 // enqueue attempts refused by a full buffer
 	BusBusy         uint64 // total core cycles of data-bus occupancy
@@ -80,7 +69,6 @@ type entry struct {
 	// changes, and the FR-FCFS rank scan reads them every cycle.
 	bank int
 	row  int64
-	pos  int // index in the channel's inflight slice while scheduled
 }
 
 type bank struct {
@@ -90,25 +78,19 @@ type bank struct {
 
 type channel struct {
 	queue ring.Buffer[*entry] // unscheduled, arrival order
-	// inflight holds the scheduled entries; retirement swap-removes them,
-	// lowest position first, which fixes the order completions leave in
-	// one Step. bus and hits hold the same entries in schedule order, split
-	// by how they complete: each completes at the new busFreeAt, which only
-	// grows, or at cycle+L2HitLatency, and a channel schedules at most once
-	// per cycle, so doneAt strictly increases along each ring and the due
-	// entries are a prefix of each.
-	inflight []*entry
-	bus      ring.Buffer[*entry]
-	hits     ring.Buffer[*entry]
+	// bus holds the scheduled entries in schedule order. Each completes
+	// at the channel's new busFreeAt, which grows by at least BusCycles
+	// per schedule, so doneAt strictly increases along the ring, the due
+	// entries are a prefix of it, and they retire in schedule order.
+	bus ring.Buffer[*entry]
 	// wake is the earliest cycle the channel can act: cycle+1 while it can
 	// schedule, else its earliest completion, else never.
 	wake uint64
-	// reads indexes the non-writeback entries of queue+inflight by block
+	// reads indexes the non-writeback entries of queue+bus by block
 	// address for O(1) inter-core merging; merging keeps it unique.
 	reads     *addrmap.Table[*entry]
 	banks     []bank
 	busFreeAt uint64
-	l2        *cache.Cache // nil when no L2 is configured
 
 	// parked holds requests the full queue refused, in arrival order;
 	// RetryParked re-offers them once the queue has room.
@@ -131,7 +113,6 @@ type Memory struct {
 	chans     []*channel
 	pool      *memreq.Pool // nil: retired writebacks are garbage-collected
 	free      []*entry     // entry free-list; retirement recycles into it
-	due       []*entry     // retirement scratch: one channel's due entries
 	parked    int          // requests parked across all channels
 	retries   int          // channels marked due a retry pass
 	minWake   uint64       // minimum wake entry over the channels
@@ -200,9 +181,6 @@ func New(cfg Config) *Memory {
 		for b := range ch.banks {
 			ch.banks[b].openRow = -1
 		}
-		if cfg.L2Bytes > 0 {
-			ch.l2 = cache.New(cfg.L2Bytes/cfg.Channels, cfg.L2Ways, cfg.BlockBytes)
-		}
 		m.chans[i] = ch
 	}
 	m.primeEntries(cfg.Channels * (cfg.QueueSize + pipelineDepth))
@@ -222,15 +200,13 @@ func (m *Memory) Register(r *obs.Registry, l obs.Labels) {
 	r.CounterU64("dram.row_hits", l, &st.RowHits)
 	r.CounterU64("dram.row_misses", l, &st.RowMisses)
 	r.CounterU64("dram.row_closed", l, &st.RowClosed)
-	r.CounterU64("dram.l2_hits", l, &st.L2Hits)
-	r.CounterU64("dram.l2_misses", l, &st.L2Misses)
 	r.CounterU64("dram.inter_core_merges", l, &st.InterCoreMerges)
 	r.CounterU64("dram.rejects", l, &st.Rejects)
 	r.CounterU64("dram.bus_busy", l, &st.BusBusy)
 	r.Gauge("dram.queued", l, func() float64 {
 		n := 0
 		for _, ch := range m.chans {
-			n += ch.queue.Len() + len(ch.inflight)
+			n += ch.queue.Len() + ch.bus.Len()
 		}
 		return float64(n)
 	})
@@ -376,7 +352,7 @@ func (m *Memory) enqueue(cycle uint64, ch *channel, r *memreq.Request) bool {
 		}
 	}
 	ch.queue.Push(e)
-	if len(ch.inflight) < pipelineDepth && cycle < ch.wake {
+	if ch.bus.Len() < pipelineDepth && cycle < ch.wake {
 		ch.wake = cycle
 		m.minWake = min(m.minWake, cycle)
 	}
@@ -436,31 +412,9 @@ func (m *Memory) Step(cycle uint64, done []*memreq.Request) []*memreq.Request {
 const pipelineDepth = 32
 
 func (m *Memory) stepChannel(cycle uint64, ch *channel, done []*memreq.Request) []*memreq.Request {
-	// Retire the due prefix of each ring, lowest inflight position first.
-	due := m.due[:0]
+	// Retire the due prefix of the ring, in schedule order.
 	for e, ok := ch.bus.Front(); ok && e.doneAt <= cycle; e, ok = ch.bus.Front() {
 		ch.bus.Pop()
-		due = append(due, e)
-	}
-	for e, ok := ch.hits.Front(); ok && e.doneAt <= cycle; e, ok = ch.hits.Front() {
-		ch.hits.Pop()
-		due = append(due, e)
-	}
-	for len(due) > 0 {
-		k := 0
-		for j := 1; j < len(due); j++ {
-			if due[j].pos < due[k].pos {
-				k = j
-			}
-		}
-		e := due[k]
-		due[k] = due[len(due)-1]
-		due = due[:len(due)-1]
-		n := len(ch.inflight) - 1
-		last := ch.inflight[n]
-		ch.inflight[e.pos], last.pos = last, e.pos
-		ch.inflight[n] = nil
-		ch.inflight = ch.inflight[:n]
 		if e.req.Kind != memreq.Writeback {
 			ch.reads.Del(e.req.Addr)
 			e.req.StampSpan(memreq.SpanDRAMDone, cycle)
@@ -475,20 +429,16 @@ func (m *Memory) stepChannel(cycle uint64, ch *channel, done []*memreq.Request) 
 		done = append(done, e.merged...)
 		m.putEntry(e)
 	}
-	m.due = due
 	// Schedule at most one new access per call while the pipeline has room.
-	if ch.queue.Len() > 0 && len(ch.inflight) < pipelineDepth {
+	if ch.queue.Len() > 0 && ch.bus.Len() < pipelineDepth {
 		m.schedule(cycle, ch)
-		if ch.queue.Len() > 0 && len(ch.inflight) < pipelineDepth {
+		if ch.queue.Len() > 0 && ch.bus.Len() < pipelineDepth {
 			ch.wake = cycle + 1
 			return done
 		}
 	}
 	ch.wake = never
 	if e, ok := ch.bus.Front(); ok {
-		ch.wake = e.doneAt
-	}
-	if e, ok := ch.hits.Front(); ok && e.doneAt < ch.wake {
 		ch.wake = e.doneAt
 	}
 	return done
@@ -525,26 +475,8 @@ func (m *Memory) schedule(cycle uint64, ch *channel) {
 		m.markRetry(ch)
 	}
 	e.req.StampSpan(memreq.SpanDRAMSched, cycle)
-	e.pos = len(ch.inflight)
-	ch.inflight = append(ch.inflight, e)
-	// L2 slice: a hit bypasses the banks and the data bus entirely.
-	if ch.l2 != nil && e.req.Kind != memreq.Writeback && ch.l2.Lookup(e.req.Addr) {
-		m.stats.L2Hits++
-		e.req.SpanFlag(memreq.FlagL2Hit)
-		e.doneAt = cycle + uint64(m.cfg.L2HitLatency)
-		ch.hits.Push(e)
-		return
-	}
-	if ch.l2 != nil && e.req.Kind != memreq.Writeback {
-		m.stats.L2Misses++
-	}
 	m.service(cycle, ch, e)
 	ch.bus.Push(e)
-	if ch.l2 != nil {
-		// Fill on the way out (write-allocate for writebacks too); marked
-		// used so L2 evictions never pollute early-eviction accounting.
-		ch.l2.Fill(e.req.Addr, true)
-	}
 }
 
 func (m *Memory) service(cycle uint64, ch *channel, e *entry) {
@@ -618,7 +550,7 @@ func (m *Memory) Drained() bool {
 		return false
 	}
 	for _, ch := range m.chans {
-		if ch.queue.Len() > 0 || len(ch.inflight) > 0 {
+		if ch.queue.Len() > 0 || ch.bus.Len() > 0 {
 			return false
 		}
 	}
@@ -630,10 +562,9 @@ func (m *Memory) Drained() bool {
 // every queue and service pipeline respects its bound, the read index
 // covers exactly the buffered reads, and each parked request waits on
 // its own channel and nowhere else. It also checks the per-event
-// bookkeeping: each completion ring's doneAt strictly increases, the
-// rings hold exactly the in-flight entries at their recorded positions,
-// no channel can act before its wake entry, the memory's minimum wake is
-// its channels', and the retry marks are counted and set wherever a pass
+// bookkeeping: doneAt strictly increases along each completion ring, no
+// channel can act before its wake entry, the memory's minimum wake is its
+// channels', and the retry marks are counted and set wherever a pass
 // could find work.
 func (m *Memory) CheckInvariants(cycle uint64) error {
 	fail := func(name, format string, args ...any) error {
@@ -653,13 +584,15 @@ func (m *Memory) CheckInvariants(cycle uint64) error {
 		if n := ch.queue.Len(); n > m.cfg.QueueSize {
 			return fail("queue-bound", "channel %d queues %d entries, capacity %d", i, n, m.cfg.QueueSize)
 		}
-		if n := len(ch.inflight); n > pipelineDepth {
+		if n := ch.bus.Len(); n > pipelineDepth {
 			return fail("pipeline-bound", "channel %d has %d accesses in flight, depth %d", i, n, pipelineDepth)
 		}
 		clear(seen)
-		buffered := append([]*entry(nil), ch.inflight...)
-		for j := 0; j < ch.queue.Len(); j++ {
-			buffered = append(buffered, ch.queue.At(j))
+		var buffered []*entry
+		for _, rg := range []*ring.Buffer[*entry]{&ch.bus, &ch.queue} {
+			for j := 0; j < rg.Len(); j++ {
+				buffered = append(buffered, rg.At(j))
+			}
 		}
 		reads := 0
 		for _, e := range buffered {
@@ -687,29 +620,16 @@ func (m *Memory) CheckInvariants(cycle uint64) error {
 				return fail("parked-channel", "request %#x parked at channel %d, maps to %d", r.Addr, i, c)
 			}
 		}
-		for j, e := range ch.inflight {
-			if e.pos != j {
-				return fail("inflight-index", "channel %d: in-flight entry %d records position %d", i, j, e.pos)
-			}
-		}
-		if n := ch.bus.Len() + ch.hits.Len(); n != len(ch.inflight) {
-			return fail("inflight-index", "channel %d: rings hold %d entries, %d in flight", i, n, len(ch.inflight))
-		}
 		earliest := never
-		for _, rg := range []*ring.Buffer[*entry]{&ch.bus, &ch.hits} {
-			for j := 0; j < rg.Len(); j++ {
-				e := rg.At(j)
-				if e.pos >= len(ch.inflight) || ch.inflight[e.pos] != e {
-					return fail("inflight-index", "channel %d: ring entry %#x is not at its position %d", i, e.req.Addr, e.pos)
-				}
-				if j > 0 && e.doneAt <= rg.At(j-1).doneAt {
-					return fail("ring-order", "channel %d: ring entry %d completes at %d, its predecessor at %d",
-						i, j, e.doneAt, rg.At(j-1).doneAt)
-				}
-				earliest = min(earliest, e.doneAt)
+		for j := 0; j < ch.bus.Len(); j++ {
+			e := ch.bus.At(j)
+			if j > 0 && e.doneAt <= ch.bus.At(j-1).doneAt {
+				return fail("ring-order", "channel %d: ring entry %d completes at %d, its predecessor at %d",
+					i, j, e.doneAt, ch.bus.At(j-1).doneAt)
 			}
+			earliest = min(earliest, e.doneAt)
 		}
-		if ch.queue.Len() > 0 && len(ch.inflight) < pipelineDepth {
+		if ch.queue.Len() > 0 && ch.bus.Len() < pipelineDepth {
 			earliest = min(earliest, cycle+1)
 		}
 		// Called after Step(cycle): the channel next acts at cycle+1 at

@@ -350,55 +350,6 @@ func TestDrained(t *testing.T) {
 	}
 }
 
-func TestL2HitBypassesBanksAndBus(t *testing.T) {
-	cfg := testConfig()
-	cfg.L2Bytes = 4 * 1024
-	cfg.L2Ways = 4
-	cfg.L2HitLatency = 5
-	cfg.Overhead = 100
-	m := New(cfg)
-	// First access misses L2 and takes the full DRAM path.
-	offer(m, 0, demand(64))
-	first := uint64(0)
-	var done []*memreq.Request
-	for c := uint64(0); c < 1000 && first == 0; c++ {
-		done = m.Step(c, done[:0])
-		if len(done) > 0 {
-			first = c
-		}
-	}
-	if first < 100 {
-		t.Fatalf("first access finished at %d, should include overhead", first)
-	}
-	// Second access to the same block hits L2.
-	offer(m, first, demand(64))
-	second := uint64(0)
-	for c := first; c < first+1000 && second == 0; c++ {
-		done = m.Step(c, done[:0])
-		if len(done) > 0 {
-			second = c
-		}
-	}
-	if second-first > 20 {
-		t.Errorf("L2 hit took %d cycles, want ~%d", second-first, cfg.L2HitLatency)
-	}
-	s := m.Stats()
-	if s.L2Hits != 1 || s.L2Misses != 1 {
-		t.Errorf("L2 stats = %d hits / %d misses, want 1/1", s.L2Hits, s.L2Misses)
-	}
-}
-
-func TestNoL2ByDefault(t *testing.T) {
-	m := New(testConfig())
-	offer(m, 0, demand(64))
-	run(m, 0, 1000)
-	offer(m, 500, demand(64))
-	run(m, 500, 1000)
-	if s := m.Stats(); s.L2Hits != 0 || s.L2Misses != 0 {
-		t.Errorf("L2 active without configuration: %+v", s)
-	}
-}
-
 // TestConservationProperty: under random request streams, every offered
 // read — parked ones included — completes exactly once and nothing is
 // invented.

@@ -77,9 +77,6 @@ func randomScenario(rng *rand.Rand) parkScenario {
 	if rng.IntN(3) == 0 {
 		cfg.AgePromote = 1 + rng.IntN(50)
 	}
-	if rng.IntN(4) == 0 {
-		cfg.L2Bytes, cfg.L2Ways, cfg.L2HitLatency = 1024*cfg.Channels, 2, 3
-	}
 	return parkScenario{cfg: cfg, arrivalsFirst: rng.IntN(4) == 0, cycles: 400 + rng.IntN(400)}
 }
 
@@ -106,7 +103,7 @@ func TestParkingMatchesReferenceModel(t *testing.T) {
 	}
 	// The streams must reach every path the equivalence argument covers.
 	if cov.shortcuts == 0 || cov.freshChecks == 0 || cov.earlyStops == 0 || cov.retryMerges == 0 ||
-		cov.multiDue == 0 || cov.mixedDue == 0 {
+		cov.multiDue == 0 {
 		t.Fatalf("streams missed a retry or retirement path: %+v", cov)
 	}
 }
@@ -118,8 +115,7 @@ type parkCoverage struct {
 	freshChecks int    // pass begun on a full queue with reads indexed since the last
 	earlyStops  int    // pass stopped on a full queue because no read was indexed
 	retryMerges uint64 // inter-core merges made by RetryParked
-	multiDue    int    // Step retired several bus accesses, or several L2 hits, of one channel
-	mixedDue    int    // Step retired an L2 hit and a bus access of one channel
+	multiDue    int    // Step retired several accesses of one channel
 }
 
 // observe classifies the pass RetryParked is about to run on ch. With no
@@ -309,7 +305,6 @@ func TestCheckInvariantsCatchesBookkeeping(t *testing.T) {
 			a, b := m.chans[0].bus.At(0), m.chans[0].bus.At(1)
 			a.doneAt, b.doneAt = b.doneAt, a.doneAt
 		}},
-		{"inflight-index", func(m *Memory) { m.chans[0].inflight[0].pos = 1 }},
 		{"wake-entry", func(m *Memory) { m.chans[0].wake = never }},
 		{"wake-min", func(m *Memory) { m.minWake = 0 }},
 		{"retry-count", func(m *Memory) { m.retries++ }},

@@ -3,10 +3,12 @@ package kernel
 import "fmt"
 
 // Builder assembles Programs. Register names are allocated monotonically;
-// these kernels are short enough that reuse is unnecessary.
+// these kernels are short enough that reuse is unnecessary. After its
+// first error a builder appends nothing more, so a caller that asks for
+// more than a program can hold fails fast instead of growing it.
 type Builder struct {
 	p        Program
-	nextReg  Reg
+	nextReg  int // next register to allocate; NumRegs once built
 	loopOpen bool
 	loopAt   int
 	err      error
@@ -27,13 +29,20 @@ func (b *Builder) fail(format string, args ...any) {
 }
 
 func (b *Builder) alloc() Reg {
-	if b.nextReg == 0 { // wrapped
+	if b.nextReg > MaxReg {
 		b.fail("register file exhausted")
 		return NoReg
 	}
-	r := b.nextReg
+	r := Reg(b.nextReg)
 	b.nextReg++
 	return r
+}
+
+// emit appends in unless the builder has already failed.
+func (b *Builder) emit(in Instr) {
+	if b.err == nil {
+		b.p.Instrs = append(b.p.Instrs, in)
+	}
 }
 
 func (b *Builder) noteArray(a *Access) {
@@ -47,7 +56,7 @@ func (b *Builder) Load(a Access) Reg {
 	dst := b.alloc()
 	acc := a
 	b.noteArray(&acc)
-	b.p.Instrs = append(b.p.Instrs, Instr{Op: OpLoad, Dst: dst, Mem: &acc})
+	b.emit(Instr{Op: OpLoad, Dst: dst, Mem: &acc})
 	return dst
 }
 
@@ -55,14 +64,14 @@ func (b *Builder) Load(a Access) Reg {
 func (b *Builder) Store(a Access, src Reg) {
 	acc := a
 	b.noteArray(&acc)
-	b.p.Instrs = append(b.p.Instrs, Instr{Op: OpStore, Src1: src, Mem: &acc})
+	b.emit(Instr{Op: OpStore, Src1: src, Mem: &acc})
 }
 
 // Prefetch appends a non-binding software prefetch.
 func (b *Builder) Prefetch(a Access) {
 	acc := a
 	b.noteArray(&acc)
-	b.p.Instrs = append(b.p.Instrs, Instr{Op: OpPrefetch, Mem: &acc})
+	b.emit(Instr{Op: OpPrefetch, Mem: &acc})
 }
 
 // op appends a computational instruction reading srcs, returns its dst.
@@ -77,7 +86,7 @@ func (b *Builder) op(class OpClass, srcs ...Reg) Reg {
 	if len(srcs) > 2 {
 		b.fail("at most two sources per instruction")
 	}
-	b.p.Instrs = append(b.p.Instrs, in)
+	b.emit(in)
 	return in.Dst
 }
 
@@ -92,9 +101,11 @@ func (b *Builder) FDiv(srcs ...Reg) Reg { return b.op(OpFDiv, srcs...) }
 
 // Compute appends n chained ALU instructions consuming dep (models a
 // compute phase that depends on loaded data) and returns the final value.
+// It stops at the first error, so an n past the register file costs no
+// more than the registers left.
 func (b *Builder) Compute(n int, dep Reg) Reg {
 	r := dep
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && b.err == nil; i++ {
 		r = b.ALU(r)
 	}
 	return r
@@ -126,7 +137,7 @@ func (b *Builder) EndLoop() {
 		return
 	}
 	b.loopOpen = false
-	b.p.Instrs = append(b.p.Instrs, Instr{Op: OpLoopBack, Target: b.loopAt})
+	b.emit(Instr{Op: OpLoopBack, Target: b.loopAt})
 }
 
 // Build validates and returns the finished program.
@@ -137,7 +148,7 @@ func (b *Builder) Build() (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	b.p.NumRegs = int(b.nextReg)
+	b.p.NumRegs = b.nextReg
 	if err := b.p.Validate(); err != nil {
 		return nil, err
 	}

@@ -22,6 +22,10 @@ type Reg uint8
 // NoReg marks an absent operand.
 const NoReg Reg = 0
 
+// MaxReg is the highest register a Reg can name, so a program allocates
+// at most MaxReg registers besides NoReg.
+const MaxReg = 255
+
 // OpClass classifies instructions by their issue behaviour.
 type OpClass uint8
 

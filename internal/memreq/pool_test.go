@@ -74,7 +74,7 @@ func TestPoolRecycleClearsSpan(t *testing.T) {
 	// StampSpan / SpanFlag on the recycled (unsampled) request must be
 	// no-ops, not resurrect the old span.
 	r2.StampSpan(SpanFill, 30)
-	r2.SpanFlag(FlagL2Hit)
+	r2.SpanFlag(FlagRowMiss)
 	if r2.Span != nil {
 		t.Error("stamping an unsampled request created a span")
 	}

@@ -38,7 +38,6 @@ func (s SpanSite) String() string {
 // Span flags record path variants that change which sites are expected.
 const (
 	FlagDRAMMerged uint8 = 1 << iota // rider of an inter-core DRAM merge: never scheduled itself
-	FlagL2Hit                        // served by the L2 slice: no bank activate
 	FlagRowHit
 	FlagRowClosed
 	FlagRowMiss

@@ -141,8 +141,8 @@ func (r *SpanRec) Stages() (st [NumSpanStages]uint64, total uint64) {
 	return st, total
 }
 
-// row renders the row-buffer outcome flag, "" when none applies (L2
-// hits and merge riders never touch a bank).
+// row renders the row-buffer outcome flag, "" when none applies (merge
+// riders never touch a bank).
 func (r *SpanRec) row() string {
 	switch {
 	case r.Flags&memreq.FlagRowHit != 0:
@@ -305,13 +305,8 @@ func checkSpan(rec *SpanRec) error {
 			memreq.SpanDRAMDone, memreq.SpanNoCRespInject, memreq.SpanNoCRespDeliver,
 			memreq.SpanFill,
 		}
-		merged := rec.Flags&memreq.FlagDRAMMerged != 0
-		l2 := rec.Flags&memreq.FlagL2Hit != 0
-		if !merged {
-			required = append(required, memreq.SpanDRAMSched)
-			if !l2 {
-				required = append(required, memreq.SpanDRAMActivate)
-			}
+		if rec.Flags&memreq.FlagDRAMMerged == 0 {
+			required = append(required, memreq.SpanDRAMSched, memreq.SpanDRAMActivate)
 		}
 		for _, site := range required {
 			if !rec.has(site) {
@@ -447,7 +442,6 @@ type SpanRecord struct {
 	NoCResp     uint64 `json:"noc_resp"`
 	Total       uint64 `json:"total"`
 	DRAMMerged  bool   `json:"dram_merged,omitempty"`
-	L2Hit       bool   `json:"l2_hit,omitempty"`
 	Row         string `json:"row,omitempty"`
 }
 
@@ -502,7 +496,6 @@ func (ss *SpanSet) WriteJSONL(w io.Writer, run string) error {
 			NoCResp:     st[StageNoCResp],
 			Total:       total,
 			DRAMMerged:  rec.Flags&memreq.FlagDRAMMerged != 0,
-			L2Hit:       rec.Flags&memreq.FlagL2Hit != 0,
 			Row:         rec.row(),
 		}
 		if err := enc.Encode(out); err != nil {

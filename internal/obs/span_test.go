@@ -192,8 +192,8 @@ func TestSpanMissingStampFires(t *testing.T) {
 	r.StampSpan(memreq.SpanNoCReqInject, 504)
 	r.StampSpan(memreq.SpanNoCReqDeliver, 524)
 	r.StampSpan(memreq.SpanDRAMArrive, 524)
-	// SpanDRAMSched deliberately dropped: a non-merged, non-L2 fill
-	// must carry it.
+	// SpanDRAMSched deliberately dropped: a non-merged fill must carry
+	// it.
 	r.StampSpan(memreq.SpanDRAMActivate, 530)
 	r.StampSpan(memreq.SpanDRAMDone, 580)
 	r.StampSpan(memreq.SpanNoCRespInject, 580)
@@ -263,7 +263,7 @@ func TestSpanNilSafety(t *testing.T) {
 		t.Error("nil SpanSet attached a span")
 	}
 	r.StampSpan(memreq.SpanFill, 10) // unsampled: must not panic
-	r.SpanFlag(memreq.FlagL2Hit)
+	r.SpanFlag(memreq.FlagRowHit)
 	ss.Finish(r, 10, memreq.TermFill)
 	if ss.Started() != 0 || ss.Finished() != 0 || ss.Records() != nil {
 		t.Error("nil SpanSet reports state")

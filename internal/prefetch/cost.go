@@ -1,7 +1,5 @@
 package prefetch
 
-import "fmt"
-
 // TableCost describes the storage of one MT-HWP table (Table VI).
 type TableCost struct {
 	Name         string
@@ -56,16 +54,4 @@ func MTHWPCostBytes() int {
 		bits += t.TotalBits()
 	}
 	return (bits + 7) / 8
-}
-
-// CostString renders Table VI.
-func CostString() string {
-	s := ""
-	total := 0
-	for _, t := range MTHWPCost() {
-		s += fmt.Sprintf("%-4s %d x %d bits  (%s)\n", t.Name, t.Entries, t.BitsPerEntry, t.Fields)
-		total += t.TotalBits()
-	}
-	s += fmt.Sprintf("Total: %d bits = %d bytes\n", total, MTHWPCostBytes())
-	return s
 }

@@ -210,9 +210,6 @@ func TestMTHWPTableVICost(t *testing.T) {
 	if got := MTHWPCostBytes(); got != 557 {
 		t.Errorf("total cost = %d bytes, want 557 (Table VI)", got)
 	}
-	if CostString() == "" {
-		t.Error("CostString empty")
-	}
 }
 
 // TestMTHWPGSReducesPWSAccesses verifies the Section VIII-B mechanism that

@@ -96,16 +96,6 @@ func (b *Buffer[T]) RemoveAt(i int) T {
 	return v
 }
 
-// Reset empties the buffer, zeroing live slots so no elements are
-// retained, but keeps the backing array for reuse.
-func (b *Buffer[T]) Reset() {
-	var zero T
-	for i := 0; i < b.n; i++ {
-		b.buf[(b.head+i)&(len(b.buf)-1)] = zero
-	}
-	b.head, b.n = 0, 0
-}
-
 // grow doubles the backing array and re-linearises the elements so the
 // front lands at index 0.
 func (b *Buffer[T]) grow() {

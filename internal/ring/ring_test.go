@@ -98,24 +98,6 @@ func TestRemoveAtAgainstSlice(t *testing.T) {
 	}
 }
 
-func TestResetKeepsCapacity(t *testing.T) {
-	var b Buffer[*int]
-	x := 7
-	for i := 0; i < 20; i++ {
-		b.Push(&x)
-	}
-	c := b.Cap()
-	b.Reset()
-	if b.Len() != 0 || b.Cap() != c {
-		t.Fatalf("after Reset: Len=%d Cap=%d want 0,%d", b.Len(), b.Cap(), c)
-	}
-	for _, p := range b.buf {
-		if p != nil {
-			t.Fatal("Reset retained a pointer")
-		}
-	}
-}
-
 func TestPopZeroesSlot(t *testing.T) {
 	var b Buffer[*int]
 	x := 1

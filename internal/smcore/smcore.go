@@ -204,7 +204,7 @@ type Options struct {
 // New builds a core and fills it with blocks up to the occupancy limit.
 func New(o Options) (*Core, error) {
 	prog := o.Spec.Program
-	if prog.NumRegs > 256 {
+	if prog.NumRegs > kernel.MaxReg+1 {
 		return nil, fmt.Errorf("smcore: program uses %d registers", prog.NumRegs)
 	}
 	wpb := o.Spec.WarpsPerBlock()

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -41,18 +40,6 @@ func Geomean(xs []float64) float64 {
 		return 0
 	}
 	return math.Exp(sum / float64(n))
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 // Histogram accumulates a distribution of uint64 samples in logarithmic
@@ -184,17 +171,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// AddRowValues appends a row with a label followed by numeric cells
-// rendered with %.3g-style compact formatting.
-func (t *Table) AddRowValues(label string, values ...float64) {
-	cells := make([]string, 0, len(values)+1)
-	cells = append(cells, label)
-	for _, v := range values {
-		cells = append(cells, FormatFloat(v))
-	}
-	t.rows = append(t.rows, cells)
-}
-
 // NumRows reports how many rows have been added.
 func (t *Table) NumRows() int { return len(t.rows) }
 
@@ -286,15 +262,4 @@ func FormatFloat(v float64) string {
 		return fmt.Sprintf("%.1f", v)
 	}
 	return fmt.Sprintf("%.3f", v)
-}
-
-// SortedKeys returns the keys of m in sorted order, for deterministic
-// iteration when printing per-benchmark maps.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

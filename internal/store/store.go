@@ -348,14 +348,12 @@ type fingerprintable struct {
 	Config          *config.Config `json:"config"`
 	Workload        *workload.Spec `json:"workload"`
 	Software        swpref.Mode    `json:"software"`
-	SoftwareOptions swpref.Options `json:"software_options"`
 	Hardware        bool           `json:"hardware"`
 	Throttle        bool           `json:"throttle"`
 	PollutionFilter bool           `json:"pollution_filter"`
 	PerfectMemory   bool           `json:"perfect_memory"`
 	MaxCycles       uint64         `json:"max_cycles"`
 	WatchdogWindow  uint64         `json:"watchdog_window"`
-	NoWatchdog      bool           `json:"no_watchdog"`
 	Checks          bool           `json:"checks"`
 	CheckEvery      uint64         `json:"check_every"`
 }
@@ -378,14 +376,12 @@ func Fingerprint(key string, o core.Options) (string, error) {
 		Config:          cfg,
 		Workload:        o.Workload,
 		Software:        o.Software,
-		SoftwareOptions: o.SoftwareOptions,
 		Hardware:        o.Hardware != nil,
 		Throttle:        o.Throttle,
 		PollutionFilter: o.PollutionFilter,
 		PerfectMemory:   o.PerfectMemory,
 		MaxCycles:       o.MaxCycles,
 		WatchdogWindow:  o.WatchdogWindow,
-		NoWatchdog:      o.NoWatchdog,
 		Checks:          o.Checks,
 		CheckEvery:      o.CheckEvery,
 	})

@@ -247,7 +247,7 @@ func TestFingerprintStability(t *testing.T) {
 // FingerprintVersion, the baseline machine, or the stream kernel) must
 // update this value.
 func TestFingerprintPinned(t *testing.T) {
-	const want = "11dd5d882a805c8b7dca1e5cbcde7f764e5d91fe8a111ae48101df4baf4484af"
+	const want = "e85828f98e8e74f47902b4c089c4a8ce575d9d39e323c0d0dc15d4c9a3d126aa"
 	if got := mustFingerprint(t, "sw/stream/mt-swp/true", testOptions(t)); got != want {
 		t.Fatalf("fingerprint = %s, want %s: existing store entries would no longer hit", got, want)
 	}

@@ -145,6 +145,11 @@ func ParseSpec(src string) (*Spec, error) {
 			if err != nil || n < 1 {
 				return nil, fail("bad count %q", fields[1])
 			}
+			// Each instruction takes a register: a count past the
+			// register file can never build.
+			if n > kernel.MaxReg {
+				return nil, fail("%s %d exceeds the %d registers a kernel has", fields[0], n, kernel.MaxReg)
+			}
 			switch fields[0] {
 			case "compute":
 				lastVal = b.Compute(n, lastVal)
