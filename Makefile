@@ -7,8 +7,9 @@ GO ?= go
 # and the allocation budgets, see alloc_test.go), the fault-injection
 # suite, then 15 s of fuzzing each for the coalescer against its per-lane
 # reference (FuzzTransactions), DRAM retirement against the per-cycle
-# walk (FuzzRetireOrder) and the kernel-spec parser (FuzzParseSpec);
-# plain `go test` only replays their seed corpora. It writes no tracked
+# walk (FuzzRetireOrder), the kernel-spec parser (FuzzParseSpec) and
+# whole runs of arbitrary specs with the invariant sweep on
+# (FuzzRunSpec); plain `go test` only replays their seed corpora. It writes no tracked
 # file unless a fuzz target fails, when Go saves the failing input
 # under that package's testdata/fuzz.
 check:
@@ -19,6 +20,7 @@ check:
 	$(GO) test -run '^$$' -fuzz '^FuzzTransactions$$' -fuzztime 15s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzRetireOrder$$' -fuzztime 15s ./internal/dram
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 15s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzRunSpec$$' -fuzztime 15s ./internal/core
 
 # Fault-injection suite: injected livelocks, dropped completions, and
 # corrupted stride tables must be caught by the watchdog / invariant

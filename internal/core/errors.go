@@ -8,26 +8,46 @@ import (
 )
 
 // The error taxonomy. Every failure a simulation can report falls into
-// one of three families, each matchable with errors.Is / errors.As:
+// one of five families, each matchable with errors.Is / errors.As:
 //
 //   - *OptionError: the caller asked for a nonsensical machine or run
 //     (nil workload, invalid config, watchdog wider than MaxCycles).
 //     Returned by New before any cycle executes.
+//   - ErrMaxCycles: the run reached Options.MaxCycles without finishing.
 //   - *LivelockError (wraps ErrLivelock): the forward-progress watchdog
 //     saw no warp-instruction retire and no memory fill arrive for a
 //     whole window. Carries a DiagSnapshot of the stuck machine.
 //   - *InvariantError (wraps ErrInvariant): an opt-in conservation check
 //     (Options.Checks) found corrupted bookkeeping — leaked MRQ entries,
-//     non-conserved NoC flits, unbalanced scoreboard releases,
-//     prefetch-cache lines lost track of, or DRAM parking and buffer
-//     bookkeeping out of step.
+//     non-conserved NoC flits, unbalanced scoreboard releases, stall
+//     parking out of step with the warps, prefetch-cache lines lost
+//     track of, or DRAM parking and buffer bookkeeping out of step.
+//   - *CanceledError (wraps ErrCanceled): Options.Ctx ended the run.
 //
-// The harness adds a fourth, *harness.RunError, wrapping any of the
-// above (or a recovered panic) with the run's identity.
+// The harness adds *harness.RunError, wrapping any of the above (or a
+// recovered panic) with the run's identity.
 
 // ErrLivelock is the sentinel matched by errors.Is when the watchdog
 // aborts a run for lack of forward progress.
 var ErrLivelock = errors.New("no forward progress (livelock)")
+
+// ErrMaxCycles is the sentinel matched by errors.Is when a run reaches
+// Options.MaxCycles before the grid completes and memory drains.
+var ErrMaxCycles = errors.New("did not finish within MaxCycles")
+
+// maxCyclesError is Run's exit at the cycle cap.
+type maxCyclesError struct {
+	benchmark string
+	maxCycles uint64
+}
+
+// Error implements error.
+func (e *maxCyclesError) Error() string {
+	return fmt.Sprintf("core: %s did not finish within %d cycles", e.benchmark, e.maxCycles)
+}
+
+// Unwrap makes errors.Is(err, ErrMaxCycles) true.
+func (e *maxCyclesError) Unwrap() error { return ErrMaxCycles }
 
 // ErrCanceled is the sentinel matched by errors.Is when a run was
 // aborted through its Options.Ctx — a per-run wall-clock deadline or a

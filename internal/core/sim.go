@@ -559,8 +559,7 @@ func (s *Simulator) Run() (*Result, error) {
 		// The loop exited at the cap: cycles 0..s.cycle-1 were executed.
 		return s.finish(s.cycle)
 	}
-	return nil, fmt.Errorf("core: %s did not finish within %d cycles",
-		s.spec.Name, s.opts.MaxCycles)
+	return nil, &maxCyclesError{benchmark: s.spec.Name, maxCycles: s.opts.MaxCycles}
 }
 
 // finish ends a drained run in which cycles 0..executed-1 were executed:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"mtprefetch/internal/config"
@@ -167,8 +168,12 @@ func TestOptionsValidation(t *testing.T) {
 
 func TestMaxCyclesGuard(t *testing.T) {
 	spec := tiny(t, "monte")
-	if _, err := Run(Options{Workload: spec, MaxCycles: 100}); err == nil {
-		t.Error("100-cycle cap should fail loudly")
+	_, err := Run(Options{Workload: spec, MaxCycles: 100})
+	if !errors.Is(err, ErrMaxCycles) {
+		t.Fatalf("100-cycle cap: err = %v, want ErrMaxCycles", err)
+	}
+	if want := "core: " + spec.Name + " did not finish within 100 cycles"; err.Error() != want {
+		t.Errorf("message %q, want %q", err, want)
 	}
 }
 

@@ -20,9 +20,6 @@ const minCap = 8
 // Len reports the number of buffered elements.
 func (b *Buffer[T]) Len() int { return b.n }
 
-// Cap reports the current backing-array capacity.
-func (b *Buffer[T]) Cap() int { return len(b.buf) }
-
 // Push appends v at the back, growing the backing array (by doubling)
 // only when full — steady-state pushes never allocate.
 func (b *Buffer[T]) Push(v T) {

@@ -28,8 +28,8 @@ func TestPushPopWraparound(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatalf("Len = %d after balanced push/pop", b.Len())
 	}
-	if b.Cap() > minCap {
-		t.Fatalf("Cap = %d, grew despite live population <= 3", b.Cap())
+	if n := len(b.buf); n > minCap {
+		t.Fatalf("backing array of %d, grew despite live population <= 3", n)
 	}
 }
 

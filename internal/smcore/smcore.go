@@ -9,6 +9,7 @@ package smcore
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"mtprefetch/internal/cache"
@@ -55,7 +56,7 @@ type Stats struct {
 	LatePrefetches uint64 // fills whose prefetch had a demand merged in
 	DemandLatency  stats.Latency
 
-	IssueStallFullMRQ uint64 // cycles a ready warp stalled on MRQ space
+	IssueStallFullMRQ uint64 // capacity-stalled issue attempts, one per warp per wake window
 	BlocksCompleted   uint64
 	WarpsCompleted    uint64
 }
@@ -137,11 +138,8 @@ type Core struct {
 
 	// Cycle-accounting stall cause: stallMRQ counts warps stalled on MRQ
 	// capacity since the last wake (the capacity stall can only clear at
-	// a wake, so the count stays truthful for the whole stall window);
-	// memStall is the transient "this tryIssue failure was an MRQ
-	// capacity stall" flag that scanIssue consumes.
+	// a wake, so the count stays truthful for the whole stall window).
 	stallMRQ int
-	memStall bool
 
 	// pfOrigin maps resident prefetched-but-unused blocks to the PC that
 	// generated them, so the pollution filter can attribute outcomes.
@@ -161,15 +159,31 @@ type Core struct {
 
 	// Warp issue index: activeMask has a bit per resident warp still
 	// executing its program (active and not done); issueMask is the
-	// subset not stalled since the last memory event. Cycle scans only
-	// issueMask, so done and stalled warps cost nothing per tick. Both
-	// stall causes (scoreboard and MRQ capacity) can only clear when a
-	// fill returns or an MRQ slot frees — the events that call wake and
-	// reset issueMask to activeMask.
+	// subset not stalled since the last memory event, ghosts included.
+	// Cycle scans only issueMask, so done and stalled warps cost nothing
+	// per tick. Both stall causes (scoreboard and MRQ capacity) can only
+	// clear when a fill returns or an MRQ slot frees — the events that
+	// call wake and reset issueMask to activeMask.
 	activeMask  []uint64
 	issueMask   []uint64
 	activeCount int // set bits in activeMask
 	issuable    int // set bits in issueMask
+
+	// Stall-cause parking, so a wake retries only the warps whose stall
+	// it can clear. parkSB holds the warps whose last failed attempt was
+	// a scoreboard stall and that no fill has named as a waiter since;
+	// parkMRQ those whose last failed attempt was an MRQ capacity stall.
+	// ghost is the subset of issueMask certain to fail if tried now: the
+	// scan passes ghosts without trying them and charges them what their
+	// failed tries would have (passGhosts). mrqNeed is a lower bound on
+	// the MRQ room the smallest parked capacity stall needs (noNeed while
+	// parkMRQ is empty), counted at prefetch-cache generation mrqGen.
+	// The five masks share one allocation.
+	ghost   []uint64
+	parkSB  []uint64
+	parkMRQ []uint64
+	mrqNeed int
+	mrqGen  uint64
 
 	pool *memreq.Pool // request free-list (nil: plain allocation)
 
@@ -239,8 +253,13 @@ func New(o Options) (*Core, error) {
 		pool:       o.Pool,
 	}
 	words := (numWarps + 63) / 64
-	c.activeMask = make([]uint64, words)
-	c.issueMask = make([]uint64, words)
+	masks := make([]uint64, 5*words)
+	c.activeMask = masks[:words:words]
+	c.issueMask = masks[words : 2*words : 2*words]
+	c.ghost = masks[2*words : 3*words : 3*words]
+	c.parkSB = masks[3*words : 4*words : 4*words]
+	c.parkMRQ = masks[4*words:]
+	c.mrqNeed = noNeed
 	if o.Filter != nil {
 		c.pfOrigin = make(map[uint64]int)
 	}
@@ -455,20 +474,55 @@ func (c *Core) tryLaunchBlock(b int) {
 	}
 }
 
+// noNeed is mrqNeed while no warp is parked on MRQ capacity.
+const noNeed = math.MaxInt
+
 // wake makes every executing warp eligible for the issue scan again.
-// Called when a fill returns or an MRQ slot frees — the only events
-// that can clear a scoreboard or capacity stall.
+// Called at the end of a fill and when a writeback leaves the MRQ — the
+// only events that can clear a scoreboard or capacity stall. Parked
+// warps whose stall the event cannot have cleared become ghosts: the
+// scan passes them exactly as it would fail them.
 func (c *Core) wake() {
 	copy(c.issueMask, c.activeMask)
 	c.issuable = c.activeCount
 	c.stallMRQ = 0
+	c.releaseMRQ()
+	for i, a := range c.activeMask {
+		c.ghost[i] = (c.parkSB[i] | c.parkMRQ[i]) & a
+	}
 }
 
-// activateWarp enters a freshly launched warp into the issue index.
+// releaseMRQ unparks every capacity-stalled warp once one of them may
+// fit: the MRQ has the room the smallest parked access needs, or the
+// prefetch cache's resident set changed since the needs were counted.
+// Otherwise every parked access still needs more room than there is.
+func (c *Core) releaseMRQ() {
+	if c.mrqNeed == noNeed ||
+		c.demandCap()-c.MRQ.Outstanding() < c.mrqNeed && c.PFCache.Gen() == c.mrqGen {
+		return
+	}
+	clear(c.parkMRQ)
+	c.mrqNeed = noNeed
+}
+
+// parkMRQWarp records a capacity stall of the warp in slot whose access
+// needs at least need free MRQ entries at the current cache generation.
+func (c *Core) parkMRQWarp(slot, need int) {
+	c.parkMRQ[slot>>6] |= 1 << (uint(slot) & 63)
+	c.mrqNeed = min(c.mrqNeed, need)
+	c.mrqGen = c.PFCache.Gen()
+}
+
+// activateWarp enters a freshly launched warp into the issue index,
+// clearing whatever its slot's previous warp left parked.
 func (c *Core) activateWarp(slot int) {
 	bit := uint64(1) << (uint(slot) & 63)
-	c.activeMask[slot>>6] |= bit
-	c.issueMask[slot>>6] |= bit
+	w := slot >> 6
+	c.activeMask[w] |= bit
+	c.issueMask[w] |= bit
+	c.parkSB[w] &^= bit
+	c.parkMRQ[w] &^= bit
+	c.ghost[w] &^= bit
 	c.activeCount++
 	c.issuable++
 }
@@ -486,6 +540,7 @@ func (c *Core) warpDone(slot int) {
 	bit := uint64(1) << (uint(slot) & 63)
 	c.activeMask[slot>>6] &^= bit
 	c.issueMask[slot>>6] &^= bit
+	c.ghost[slot>>6] &^= bit
 	c.activeCount--
 	c.issuable--
 }
@@ -512,19 +567,21 @@ func (c *Core) PopSend(cycle uint64) *memreq.Request {
 }
 
 // Fill delivers a returned memory response to the core at cycle, before
-// the cycle's issue step.
+// the cycle's issue step. The wake comes last, once the waiters are
+// released, the blocks launched and the prefetch cache filled, so that
+// it sees the room and the resident set the fill leaves behind.
 func (c *Core) Fill(cycle uint64, r *memreq.Request) {
 	c.AccountTo(cycle)
 	// The delivered request reaches its terminal here even when its MRQ
 	// entry is already gone (inter-core merge leftovers below).
 	r.StampSpan(memreq.SpanFill, cycle)
 	c.spans.Finish(r, cycle, memreq.TermFill)
-	c.wake()
 	entry := c.MRQ.Complete(r.Addr)
 	if entry == nil {
 		// The response belongs to a request merged away inter-core; the
 		// surviving entry for this core already completed or never
-		// existed. Nothing to do.
+		// existed. Nothing changed, but the fill still wakes.
+		c.wake()
 		return
 	}
 	if entry.Kind == memreq.Demand || len(entry.Waiters) > 0 {
@@ -534,6 +591,11 @@ func (c *Core) Fill(cycle uint64, r *memreq.Request) {
 		slot := int(w.Warp)
 		if p := &c.pending[slot*c.numRegs+int(w.Reg)]; *p > 0 {
 			*p--
+			if *p == 0 {
+				// The register is free, which may clear the warp's
+				// scoreboard stall; a fill leaving it pending cannot.
+				c.parkSB[slot>>6] &^= 1 << (uint(slot) & 63)
+			}
 		}
 		if c.wOutstand[slot] > 0 {
 			c.wOutstand[slot]--
@@ -569,13 +631,22 @@ func (c *Core) Fill(cycle uint64, r *memreq.Request) {
 			}
 		}
 	}
+	c.wake()
 }
 
 // DropFill releases the MRQ entry for a response without waking its
 // waiters or filling the prefetch cache — a deliberately injected lost
 // completion (internal/faults) that the scoreboard-balance invariant is
-// designed to catch. Production code never calls it.
-func (c *Core) DropFill(r *memreq.Request) { c.MRQ.Complete(r.Addr) }
+// designed to catch. Production code never calls it. The freed entry
+// may let a capacity ghost fit, so those ghosts are released to be
+// tried as they would be without parking.
+func (c *Core) DropFill(r *memreq.Request) {
+	c.MRQ.Complete(r.Addr)
+	c.releaseMRQ()
+	for i := range c.ghost {
+		c.ghost[i] &= c.parkSB[i] | c.parkMRQ[i]
+	}
+}
 
 // Diag is one core's diagnostic snapshot, for livelock reports and crash
 // dumps (core.DiagSnapshot).
@@ -621,11 +692,11 @@ func (c *Core) Diag() Diag {
 
 // CheckInvariants verifies the core's conservation properties between
 // cycles, when the machine is in a consistent state (core.Options.Checks):
-// the MRQ's entry accounting, the prefetch cache's line accounting, and
-// the scoreboard release balance — every fill a warp waits on must be
+// the MRQ's entry accounting, the prefetch cache's line accounting, the
+// scoreboard release balance — every fill a warp waits on must be
 // backed by a waiter on an in-flight MRQ entry and vice versa, so a
 // completion that frees an entry without waking its waiters (or a double
-// wake) is caught here.
+// wake) is caught here — and the stall-cause parking (checkParking).
 func (c *Core) CheckInvariants(cycle uint64) error {
 	if err := c.MRQ.CheckInvariants(cycle, c.id); err != nil {
 		return err
@@ -674,7 +745,73 @@ func (c *Core) CheckInvariants(cycle uint64) error {
 				c.id, warpOut, regPending, waiters),
 		}
 	}
+	return c.checkParking(cycle)
+}
+
+// checkParking verifies the stall-cause parking: ghosts are issue-index
+// warps parked by one cause, parks name executing warps only, and every
+// ghost is still certain to fail — a scoreboard ghost's instruction
+// still waits on a pending register, and a capacity ghost's access still
+// does not fit in the MRQ.
+func (c *Core) checkParking(cycle uint64) error {
+	fail := func(name string, word int, bad uint64, what string) error {
+		return &simerr.InvariantError{
+			Component: "smcore", Name: name, Cycle: cycle,
+			Detail: fmt.Sprintf("core %d warp %d: %s", c.id, word<<6+bits.TrailingZeros64(bad), what),
+		}
+	}
+	for w, g := range c.ghost {
+		sb, mq := c.parkSB[w], c.parkMRQ[w]
+		if bad := g &^ c.issueMask[w]; bad != 0 {
+			return fail("ghost-issue", w, bad, "ghost outside issueMask")
+		}
+		if bad := g &^ (sb | mq); bad != 0 {
+			return fail("ghost-park", w, bad, "ghost not parked")
+		}
+		if bad := sb & mq; bad != 0 {
+			return fail("park-exclusive", w, bad, "parked on both the scoreboard and MRQ capacity")
+		}
+		if bad := (sb | mq) &^ c.activeMask[w]; bad != 0 {
+			return fail("park-active", w, bad, "parked but not executing")
+		}
+		for bad := g & sb; bad != 0; bad &= bad - 1 {
+			slot := w<<6 + bits.TrailingZeros64(bad)
+			if !c.sbBlocked(slot, &c.prog.Instrs[c.wPC[slot]]) {
+				return fail("ghost-scoreboard", w, bad, "scoreboard ghost has no pending operand")
+			}
+		}
+		for bad := g & mq; bad != 0; bad &= bad - 1 {
+			if slot := w<<6 + bits.TrailingZeros64(bad); c.accessFits(slot) {
+				return fail("ghost-capacity", w, bad, "capacity ghost's access fits in the MRQ")
+			}
+		}
+	}
 	return nil
+}
+
+// accessFits reports, without touching the miss memo, whether the
+// slot's current instruction would pass issueMemory's capacity check
+// now. An instruction that is not a load or store always fits.
+func (c *Core) accessFits(slot int) bool {
+	in := &c.prog.Instrs[c.wPC[slot]]
+	if in.Op != kernel.OpLoad && in.Op != kernel.OpStore || c.perfectMem {
+		return true
+	}
+	txs := in.Mem.Transactions(int(c.wGwid[slot]), c.cfg.WarpSize, int(c.wIter[slot]), c.cfg.BlockBytes, nil)
+	room := c.demandCap() - c.MRQ.Outstanding()
+	if len(txs) <= room {
+		return true
+	}
+	if in.Op == kernel.OpStore || room <= 0 || c.PFCache.Empty() {
+		return false
+	}
+	misses := 0
+	for _, a := range txs {
+		if !c.PFCache.Contains(a) {
+			misses++
+		}
+	}
+	return misses <= room
 }
 
 // maybeRetire finishes a warp whose program ended and whose loads drained.
@@ -749,26 +886,32 @@ func (c *Core) Cycle(cycle uint64) error {
 // scanIssue walks the set bits of issueMask over slots [from, to) in
 // ascending order, trying to issue from each; it stops at the first
 // success. Warps that fail to issue leave the mask until the next wake.
+// Ghosts are not tried: the scan passes them in bulk where it stops in
+// a word (below the issuing slot, or the whole in-range word).
 func (c *Core) scanIssue(cycle uint64, from, to int) (bool, error) {
 	if from >= to {
 		return false, nil
 	}
 	for wi := from >> 6; wi<<6 < to; wi++ {
-		word := c.issueMask[wi]
+		inRange := ^uint64(0)
 		if base := wi << 6; base < from {
-			word &= ^uint64(0) << (uint(from-base) & 63)
+			inRange <<= uint(from-base) & 63
 		}
 		if rem := to - wi<<6; rem < 64 {
-			word &= 1<<uint(rem) - 1
+			inRange &= 1<<uint(rem) - 1
 		}
+		ghosts := c.ghost[wi] & inRange
+		word := c.issueMask[wi] & inRange &^ ghosts
 		for word != 0 {
+			bit := word & -word
 			slot := wi<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
+			word ^= bit
 			issued, err := c.tryIssue(cycle, slot)
 			if err != nil {
 				return false, err
 			}
 			if issued {
+				c.passGhosts(wi, ghosts&(bit-1))
 				if c.cfg.Scheduler == config.RoundRobin {
 					c.rr = (slot + 1) % c.numWarps
 				} else {
@@ -776,14 +919,27 @@ func (c *Core) scanIssue(cycle uint64, from, to int) (bool, error) {
 				}
 				return true, nil
 			}
-			if c.memStall {
-				c.memStall = false
-				c.stallMRQ++
-			}
 			c.stallWarp(slot)
 		}
+		c.passGhosts(wi, ghosts)
 	}
 	return false, nil
+}
+
+// passGhosts retires the ghosts g of mask word wi as their failed tries
+// would have: they leave the issue scan until the next wake, and each
+// capacity ghost counts as a capacity-stalled attempt.
+func (c *Core) passGhosts(wi int, g uint64) {
+	if g == 0 {
+		return
+	}
+	c.issueMask[wi] &^= g
+	c.ghost[wi] &^= g
+	c.issuable -= bits.OnesCount64(g)
+	if n := bits.OnesCount64(g & c.parkMRQ[wi]); n > 0 {
+		c.stats.IssueStallFullMRQ += uint64(n)
+		c.stallMRQ += n
+	}
 }
 
 // NoEvent is the NextEvent result meaning "no self-scheduled work".
@@ -817,18 +973,21 @@ func (c *Core) NextEvent(cycle uint64) uint64 {
 	return next
 }
 
+// sbBlocked reports whether the scoreboard holds the slot's instruction
+// in: a source is pending, or a load's destination is still being filled
+// (software pipelining WAW).
+func (c *Core) sbBlocked(slot int, in *kernel.Instr) bool {
+	sb := c.pending[slot*c.numRegs : (slot+1)*c.numRegs]
+	return sb[in.Src1] > 0 || sb[in.Src2] > 0 || in.Op == kernel.OpLoad && sb[in.Dst] > 0
+}
+
 // tryIssue attempts to issue the slot's next instruction; it reports
-// success.
+// success. A failure parks the warp by its cause: the scoreboard here,
+// MRQ capacity in issueMemory.
 func (c *Core) tryIssue(cycle uint64, slot int) (bool, error) {
 	in := &c.prog.Instrs[c.wPC[slot]]
-	// Scoreboard: sources must be ready.
-	sb := c.pending[slot*c.numRegs : (slot+1)*c.numRegs]
-	if sb[in.Src1] > 0 || sb[in.Src2] > 0 {
-		return false, nil
-	}
-	// A load destination still being filled (software pipelining WAW)
-	// also blocks.
-	if in.Op == kernel.OpLoad && sb[in.Dst] > 0 {
+	if c.sbBlocked(slot, in) {
+		c.parkSB[slot>>6] |= 1 << (uint(slot) & 63)
 		return false, nil
 	}
 	switch in.Op {
@@ -850,7 +1009,7 @@ func (c *Core) tryIssue(cycle uint64, slot int) (bool, error) {
 		}
 		if !issued {
 			c.stats.IssueStallFullMRQ++
-			c.memStall = true
+			c.stallMRQ++
 			return false, nil
 		}
 		c.stats.MemInstrs++
@@ -921,8 +1080,9 @@ func (c *Core) missesFit(slot, room int) bool {
 }
 
 // issueMemory handles loads and stores; it reports false when the MRQ
-// cannot absorb the access (the warp retries later). A non-nil error is
-// an invariant violation.
+// cannot absorb the access, parking the warp on capacity with a lower
+// bound on the room its access needs (the warp retries once a wake may
+// have made that room). A non-nil error is an invariant violation.
 func (c *Core) issueMemory(cycle uint64, slot int, in *kernel.Instr) (bool, error) {
 	txs := c.transactions(slot, in)
 	gwid, pc := int(c.wGwid[slot]), int(c.wPC[slot])
@@ -932,6 +1092,7 @@ func (c *Core) issueMemory(cycle uint64, slot int, in *kernel.Instr) (bool, erro
 			return true, nil
 		}
 		if c.MRQ.Outstanding()+len(txs) > c.demandCap() {
+			c.parkMRQWarp(slot, len(txs))
 			return false, nil
 		}
 		c.issueOccupy(cycle, c.cfg.IssueCostMem)
@@ -948,13 +1109,21 @@ func (c *Core) issueMemory(cycle uint64, slot int, in *kernel.Instr) (bool, erro
 	}
 	// Capacity check. Fast paths: a totally full queue always stalls, and
 	// a queue with room for the worst case always proceeds; only in
-	// between do we need to count prefetch-cache hits.
+	// between do we need to count prefetch-cache hits. With the cache
+	// empty every transaction misses; with it non-empty a full queue
+	// needs at least one entry; otherwise the access needs at least the
+	// misses counted so far (the count stops once it exceeds the room).
 	out := c.MRQ.Outstanding()
 	if out+len(txs) > c.demandCap() {
-		if out >= c.demandCap() || c.PFCache.Empty() {
+		switch {
+		case c.PFCache.Empty():
+			c.parkMRQWarp(slot, len(txs))
 			return false, nil
-		}
-		if !c.missesFit(slot, c.demandCap()-out) {
+		case out >= c.demandCap():
+			c.parkMRQWarp(slot, 1)
+			return false, nil
+		case !c.missesFit(slot, c.demandCap()-out):
+			c.parkMRQWarp(slot, c.memo[slot].misses)
 			return false, nil
 		}
 	}

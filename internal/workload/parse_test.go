@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -188,8 +189,41 @@ func TestParseSpecRegisterFile(t *testing.T) {
 	}
 }
 
-// FuzzParseSpec: ParseSpec never panics, and every spec it accepts
-// still validates once scaled down, as the harness scales it.
+// hugeCores ask for more warp slots per core than a core may hold.
+var hugeCores = []string{
+	"kernel k warps=1000000000 blocks=1\ncompute 8\n",
+	"kernel k warps=1 blocks=1 maxblk=1000000000\ncompute 8\n",
+	"kernel k warps=2048 blocks=2 maxblk=2\ncompute 8\n",
+}
+
+// TestParseSpecWarpSlots: a spec whose blocks no core can hold is an
+// error, found without sizing anything by the product, and the bound
+// itself is accepted.
+func TestParseSpecWarpSlots(t *testing.T) {
+	for _, src := range hugeCores {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ParseSpec(src)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "warp slots") {
+			t.Errorf("ParseSpec(%q) = %v, want a warp-slot error", src, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%q allocated %d bytes before failing, want < 1 MiB", src, n)
+		}
+	}
+	s, err := ParseSpec(fmt.Sprintf("kernel k warps=%d blocks=2 maxblk=2\ncompute 8\n", MaxWarpSlotsPerCore))
+	if err != nil {
+		t.Fatalf("a spec at the bound: %v", err)
+	}
+	if got := s.ActiveWarpsPerCore(); got != MaxWarpSlotsPerCore {
+		t.Errorf("ActiveWarpsPerCore = %d, want %d", got, MaxWarpSlotsPerCore)
+	}
+}
+
+// FuzzParseSpec: ParseSpec never panics, and every spec it accepts fits
+// a core's warp slots and still validates once scaled down, as the
+// harness scales it.
 func FuzzParseSpec(f *testing.F) {
 	f.Add(demoKernel)
 	f.Add(accessKernel)
@@ -199,10 +233,16 @@ func FuzzParseSpec(f *testing.F) {
 	for _, src := range hugeCounts {
 		f.Add(src)
 	}
+	for _, src := range hugeCores {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		s, err := ParseSpec(src)
 		if err != nil {
 			return
+		}
+		if n := s.ActiveWarpsPerCore(); n > MaxWarpSlotsPerCore {
+			t.Fatalf("accepted spec needs %d warp slots per core, more than %d\n%s", n, MaxWarpSlotsPerCore, src)
 		}
 		if err := s.Scaled(3).Validate(); err != nil {
 			t.Fatalf("accepted spec fails validation after Scaled(3): %v\n%s", err, src)

@@ -105,6 +105,12 @@ func (s *Spec) Scaled(factor int) *Spec {
 	return &t
 }
 
+// MaxWarpSlotsPerCore bounds a core's warp slots at full occupancy,
+// MaxBlocksPerCore × WarpsPerBlock: a core sizes its per-warp state by
+// that product, so an unbounded spec could exhaust memory instead of
+// failing. The largest suite benchmark uses 32.
+const MaxWarpSlotsPerCore = 1024
+
 // Validate checks internal consistency.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
@@ -118,6 +124,12 @@ func (s *Spec) Validate() error {
 	}
 	if s.MaxBlocksPerCore <= 0 {
 		return fmt.Errorf("workload %s: non-positive occupancy", s.Name)
+	}
+	// Each factor is checked first, so the product cannot overflow.
+	if wpb := s.WarpsPerBlock(); wpb > MaxWarpSlotsPerCore || s.MaxBlocksPerCore > MaxWarpSlotsPerCore ||
+		wpb*s.MaxBlocksPerCore > MaxWarpSlotsPerCore {
+		return fmt.Errorf("workload %s: %d blocks of %d warps per core exceed %d warp slots",
+			s.Name, s.MaxBlocksPerCore, wpb, MaxWarpSlotsPerCore)
 	}
 	if s.RegsPerThread <= 0 {
 		return fmt.Errorf("workload %s: non-positive register usage", s.Name)

@@ -13,3 +13,4 @@ go test -timeout 10m -run 'Chaos|Stalled|Dropped|Corrupt|CleanRun|Poisoned|Crash
 go test -run '^$' -fuzz '^FuzzTransactions$' -fuzztime 15s ./internal/kernel
 go test -run '^$' -fuzz '^FuzzRetireOrder$' -fuzztime 15s ./internal/dram
 go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 15s ./internal/workload
+go test -run '^$' -fuzz '^FuzzRunSpec$' -fuzztime 15s ./internal/core
