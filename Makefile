@@ -7,11 +7,12 @@ GO ?= go
 # and the allocation budgets, see alloc_test.go), the fault-injection
 # suite, then 15 s of fuzzing each for the coalescer against its per-lane
 # reference (FuzzTransactions), DRAM retirement against the per-cycle
-# walk (FuzzRetireOrder), the kernel-spec parser (FuzzParseSpec) and
-# whole runs of arbitrary specs with the invariant sweep on
-# (FuzzRunSpec); plain `go test` only replays their seed corpora. It writes no tracked
-# file unless a fuzz target fails, when Go saves the failing input
-# under that package's testdata/fuzz.
+# walk (FuzzRetireOrder), the kernel-spec parser (FuzzParseSpec), whole
+# runs of arbitrary specs with the invariant sweep on (FuzzRunSpec) and
+# result-store entry decoding (FuzzDecodeEntry); plain `go test` only
+# replays their seed corpora. It writes no tracked file unless a fuzz
+# target fails, when Go saves the failing input under that package's
+# testdata/fuzz.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -21,6 +22,7 @@ check:
 	$(GO) test -run '^$$' -fuzz '^FuzzRetireOrder$$' -fuzztime 15s ./internal/dram
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 15s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzRunSpec$$' -fuzztime 15s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 15s ./internal/store
 
 # Fault-injection suite: injected livelocks, dropped completions, and
 # corrupted stride tables must be caught by the watchdog / invariant

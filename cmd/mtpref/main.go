@@ -39,7 +39,7 @@
 //	                "/debug/pprof" Go profiling
 //	-http-snapshots N
 //	                keep the metrics snapshots of the last N finished runs
-//	                on the debug server (default 32)
+//	                on the debug server, not negative (default 32)
 //	-sample N       epoch length in cycles for -metrics sampling and
 //	                -cpistack epochs, at least 1 (default 10000)
 //	-crashdir DIR   write a per-run crash-dump bundle for every failed simulation
@@ -203,7 +203,8 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 }
 
 // validate rejects flag values that parse but mean nothing. The
-// library would silently replace each of them with its default.
+// library would silently replace each of them with its default, or
+// clamp it (a negative snapshot count keeps none).
 func (c *cliFlags) validate() error {
 	switch {
 	case c.sample == 0:
@@ -216,6 +217,8 @@ func (c *cliFlags) validate() error {
 		return errors.New("-j must be at least 1")
 	case c.runTimeout < 0:
 		return errors.New("-run-timeout must not be negative")
+	case c.httpSnaps < 0:
+		return errors.New("-http-snapshots must not be negative")
 	}
 	return nil
 }

@@ -151,6 +151,7 @@ func TestValidateRejectsMeaninglessFlags(t *testing.T) {
 		{"-j", "0"},
 		{"-j", "-2"},
 		{"-run-timeout", "-1s"},
+		{"-http-snapshots", "-1"},
 	} {
 		cli, _, err := parse(t, []string{"run", "table3", tc.flag, tc.value})
 		if err != nil {

@@ -177,7 +177,7 @@ func (c *Cache) Fill(addr uint64, used bool) (earlyEvict bool, victimAddr uint64
 // served a demand on arrival (late prefetches that merged with a demand) so
 // their eventual eviction is not counted as early. It reports whether an
 // unused block was evicted (an early eviction) and, when so, the victim's
-// block address — the input the pollution filter trains on.
+// block address, which the core's early-eviction trace event carries.
 //
 // prov is remembered per line so attribution (when attached) can charge
 // the eventual hit/eviction/drain outcome to the mechanism that issued

@@ -12,41 +12,13 @@ import (
 	"fmt"
 )
 
-// SchedPolicy selects how a core picks the next warp to issue from.
-type SchedPolicy uint8
-
-const (
-	// SwitchOnStall keeps issuing from the current warp until its
-	// operands are not ready (Section II-B: "it executes instructions
-	// from one warp, switching to another warp if source operands are
-	// not ready"). This is the paper's scheduler and the default.
-	SwitchOnStall SchedPolicy = iota
-	// RoundRobin rotates to the next ready warp after every issued
-	// instruction; provided for ablation (it removes the inter-warp
-	// stagger that inter-thread prefetching exploits).
-	RoundRobin
-)
-
-// String implements fmt.Stringer.
-func (p SchedPolicy) String() string {
-	switch p {
-	case SwitchOnStall:
-		return "switch-on-stall"
-	case RoundRobin:
-		return "round-robin"
-	default:
-		return fmt.Sprintf("SchedPolicy(%d)", uint8(p))
-	}
-}
-
 // Config is a complete machine description. The zero value is not usable;
 // start from Baseline and override fields as needed.
 type Config struct {
 	// Cores.
-	NumCores  int         // number of SIMT cores (SMs)
-	SIMDWidth int         // lanes per core
-	WarpSize  int         // threads per warp
-	Scheduler SchedPolicy // warp scheduling policy (default SwitchOnStall)
+	NumCores  int // number of SIMT cores (SMs)
+	SIMDWidth int // lanes per core
+	WarpSize  int // threads per warp
 
 	// Issue occupancy in core cycles per warp-instruction. With 8-wide
 	// SIMD and 32-thread warps a warp instruction occupies the pipeline
@@ -92,10 +64,6 @@ type Config struct {
 	PrefetchCacheBytes int
 	PrefetchCacheWays  int
 	PrefetchHitLatency int // cycles; a prefetch-cache hit costs like shared memory
-
-	// Prefetcher aggressiveness defaults (Section II-C3).
-	PrefetchDistance int
-	PrefetchDegree   int
 
 	// Adaptive throttling (Section V).
 	ThrottlePeriod     uint64  // cycles between throttle decisions
@@ -147,9 +115,6 @@ func Baseline() *Config {
 		PrefetchCacheBytes: 16 * 1024,
 		PrefetchCacheWays:  8,
 		PrefetchHitLatency: 1,
-
-		PrefetchDistance: 1,
-		PrefetchDegree:   1,
 
 		ThrottlePeriod:     100_000,
 		ThrottleInitDegree: 2,
@@ -238,10 +203,6 @@ func (c *Config) Validate() error {
 		return errors.New("config: PrefetchCacheWays must be positive")
 	case c.PrefetchCacheBytes > 0 && c.PrefetchCacheSets() <= 0:
 		return errors.New("config: prefetch cache too small for its associativity")
-	case c.PrefetchDistance < 1:
-		return errors.New("config: PrefetchDistance must be >= 1")
-	case c.PrefetchDegree < 1:
-		return errors.New("config: PrefetchDegree must be >= 1")
 	case c.ThrottlePeriod == 0:
 		return errors.New("config: ThrottlePeriod must be positive")
 	case c.ThrottleInitDegree < 0 || c.ThrottleInitDegree > 5:

@@ -113,8 +113,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero MRQ", func(c *Config) { c.MRQSize = 0 }},
 		{"cache ways zero", func(c *Config) { c.PrefetchCacheWays = 0 }},
 		{"cache smaller than one set", func(c *Config) { c.PrefetchCacheBytes = 64; c.PrefetchCacheWays = 8 }},
-		{"distance zero", func(c *Config) { c.PrefetchDistance = 0 }},
-		{"degree zero", func(c *Config) { c.PrefetchDegree = 0 }},
 		{"zero throttle period", func(c *Config) { c.ThrottlePeriod = 0 }},
 		{"throttle degree out of range", func(c *Config) { c.ThrottleInitDegree = 6 }},
 		{"early thresholds inverted", func(c *Config) { c.EarlyHighThresh = 0.001 }},
@@ -136,17 +134,6 @@ func TestZeroPrefetchCacheAllowed(t *testing.T) {
 	c.PrefetchCacheBytes = 0 // no prefetch cache at all
 	if err := c.Validate(); err != nil {
 		t.Fatalf("zero-size prefetch cache should be valid: %v", err)
-	}
-}
-
-func TestSchedPolicyString(t *testing.T) {
-	for _, p := range []SchedPolicy{SwitchOnStall, RoundRobin, SchedPolicy(9)} {
-		if p.String() == "" {
-			t.Errorf("SchedPolicy(%d).String empty", uint8(p))
-		}
-	}
-	if Baseline().Scheduler != SwitchOnStall {
-		t.Error("baseline scheduler should be switch-on-stall (Section II-B)")
 	}
 }
 

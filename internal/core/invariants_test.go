@@ -93,7 +93,7 @@ func TestRandomKernelsTerminateAndConserve(t *testing.T) {
 				t.Fatalf("kernel %d mode %d: %v", i, m, err)
 			}
 			// Instruction conservation: warps x dynamic length.
-			spec2, _, _ := swpref.Apply(spec, o.Software, swpref.Options{})
+			spec2, _, _ := swpref.Apply(spec, o.Software)
 			want := uint64(spec2.TotalWarps) * uint64(spec2.Program.DynamicCounts().Total)
 			if r.AllInstructions != want {
 				t.Errorf("kernel %d mode %d: instructions %d, want %d",

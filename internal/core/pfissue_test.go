@@ -37,17 +37,16 @@ func TestPrefetchIssuePathPinned(t *testing.T) {
 		cycles           uint64
 		stallFullMRQ     uint64
 		droppedThrottle  uint64
-		droppedFilter    uint64
 		droppedInCache   uint64
 		droppedQueueFull uint64
 		pfHits           uint64
 		earlyEvictions   uint64
 		result           uint64 // resultSum of the whole Result
 	}{
-		{"stream", "mthwp-throttle", 86541, 182859, 8546, 0, 0, 0, 5206, 40, 0x2d7ef8517206b441},
-		{"scalar", "mthwp-throttle", 109995, 266123, 13178, 0, 0, 0, 12203, 91, 0x6943a0fed98116e1},
-		{"monte", "mthwp-throttle", 18333, 2403, 5600, 0, 5746, 0, 11903, 0, 0x7c748413ea364a5e},
-		{"sepia", "stride-filter", 26827, 138055, 0, 0, 0, 0, 5232, 48, 0x45d7b6b79d656243},
+		{"stream", "mthwp-throttle", 86541, 182859, 8546, 0, 0, 5206, 40, 0x2d7ef8517206b441},
+		{"scalar", "mthwp-throttle", 109995, 266123, 13178, 0, 0, 12203, 91, 0x6943a0fed98116e1},
+		{"monte", "mthwp-throttle", 18333, 2403, 5600, 5746, 0, 11903, 0, 0x7c748413ea364a5e},
+		{"sepia", "stride-rpt", 26827, 138055, 0, 0, 0, 5232, 48, 0x45d7b6b79d656243},
 	}
 	for _, tc := range cases {
 		t.Run(tc.bench+"/"+tc.mode, func(t *testing.T) {
@@ -57,8 +56,8 @@ func TestPrefetchIssuePathPinned(t *testing.T) {
 			switch tc.mode {
 			case "mthwp-throttle":
 				o.Hardware, o.Throttle = mthwp, true
-			case "stride-filter":
-				o.Hardware, o.PollutionFilter = strideRPT, true
+			case "stride-rpt":
+				o.Hardware = strideRPT
 			}
 			sim, err := New(o)
 			if err != nil {
@@ -76,7 +75,6 @@ func TestPrefetchIssuePathPinned(t *testing.T) {
 				{"Cycles", res.Cycles, tc.cycles},
 				{"smcore.issue_stall_full_mrq", reg.Sum("smcore.issue_stall_full_mrq"), tc.stallFullMRQ},
 				{"smcore.dropped_throttle", reg.Sum("smcore.dropped_throttle"), tc.droppedThrottle},
-				{"smcore.dropped_filter", reg.Sum("smcore.dropped_filter"), tc.droppedFilter},
 				{"smcore.dropped_in_cache", reg.Sum("smcore.dropped_in_cache"), tc.droppedInCache},
 				{"smcore.dropped_queue_full", reg.Sum("smcore.dropped_queue_full"), tc.droppedQueueFull},
 				{"pfcache.hits", reg.Sum("pfcache.hits"), tc.pfHits},

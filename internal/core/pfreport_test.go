@@ -20,9 +20,9 @@ import (
 // and epoch JSONL byte-identical); with it on, per-(source, PC) outcome
 // counts must sum exactly to the prefetches the simulator issued.
 
-// attributedConfigs is the matrix both test groups sweep: every
-// prefetch-generating mechanism plus the drop sites (throttle, filter,
-// both) that classify candidates before issue.
+// attributedConfigs is the matrix both test groups sweep: software and
+// hardware prefetch-generating mechanisms, with and without the throttle
+// that drops candidates before issue.
 func attributedConfigs(t *testing.T) []struct {
 	name string
 	opts Options
@@ -41,7 +41,7 @@ func attributedConfigs(t *testing.T) []struct {
 			Hardware: func() prefetch.Prefetcher {
 				return prefetch.NewStrideRPT(prefetch.StrideRPTOptions{WarpAware: true})
 			}}},
-		{"ghb-filter", Options{Workload: tiny(t, "monte"), PollutionFilter: true,
+		{"ghb", Options{Workload: tiny(t, "monte"),
 			Hardware: func() prefetch.Prefetcher {
 				return prefetch.NewGHB(prefetch.GHBOptions{WarpAware: true})
 			}}},

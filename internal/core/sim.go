@@ -50,10 +50,6 @@ type Options struct {
 	Hardware func() prefetch.Prefetcher
 	// Throttle enables the adaptive prefetch-throttling engine.
 	Throttle bool
-	// PollutionFilter enables the per-core PC-indexed cache pollution
-	// filter (Zhuang & Lee, Section X-B) as an alternative harm-control
-	// mechanism to throttling.
-	PollutionFilter bool
 	// PerfectMemory makes all memory operations free (the "PMEM" runs of
 	// Tables III/IV).
 	PerfectMemory bool
@@ -127,7 +123,7 @@ type Result struct {
 	LatePrefetches      uint64
 	EarlyEvictions      uint64
 	DroppedByThrottle   uint64
-	DroppedByFilter     uint64
+	DroppedByFilter     uint64  // always 0 (no pollution filter); kept so the Result JSON is unchanged
 	Accuracy            float64 // useful / issued
 	Coverage            float64 // prefetch-cache hits / demand transactions
 	LateFraction        float64 // late / issued
@@ -282,7 +278,7 @@ func New(o Options) (*Simulator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, &OptionError{Field: "Workload", Err: err}
 	}
-	spec, _, err := swpref.Apply(spec, o.Software, swpref.Options{})
+	spec, _, err := swpref.Apply(spec, o.Software)
 	if err != nil {
 		return nil, &OptionError{Field: "Software", Err: err}
 	}
@@ -348,10 +344,6 @@ func New(o Options) (*Simulator, error) {
 		if o.Hardware != nil {
 			hwp = o.Hardware()
 		}
-		var filter *prefetch.PollutionFilter
-		if o.PollutionFilter {
-			filter = prefetch.NewPollutionFilter(0)
-		}
 		var eng *throttle.Engine
 		if o.Throttle {
 			eng = throttle.New(throttle.Config{
@@ -368,7 +360,6 @@ func New(o Options) (*Simulator, error) {
 			Blocks:     s.disp,
 			HWP:        hwp,
 			Throttle:   eng,
-			Filter:     filter,
 			PerfectMem: o.PerfectMemory,
 			Pool:       s.pool,
 		})
@@ -849,7 +840,6 @@ func (s *Simulator) collect() *Result {
 	r.LatePrefetches = reg.Sum("smcore.late_prefetches")
 	r.EarlyEvictions = reg.Sum("pfcache.early_evictions")
 	r.DroppedByThrottle = reg.Sum("smcore.dropped_throttle")
-	r.DroppedByFilter = reg.Sum("smcore.dropped_filter")
 	r.Accuracy = stats.Ratio(r.UsefulPrefetches, r.PrefetchesIssued)
 	if r.Accuracy > 1 {
 		r.Accuracy = 1

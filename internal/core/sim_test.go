@@ -224,19 +224,3 @@ func TestZeroPrefetchCache(t *testing.T) {
 		t.Errorf("cache hits with no cache: %d", r.PFCacheHits)
 	}
 }
-
-func TestPollutionFilterDropsHarmfulPCs(t *testing.T) {
-	// scalar's IP prefetches are heavily early-evicted; the pollution
-	// filter should identify the PCs and drop candidates.
-	spec := tiny(t, "scalar")
-	base := mustRun(t, Options{Workload: spec})
-	blind := mustRun(t, Options{Workload: spec, Software: swpref.IP})
-	filtered := mustRun(t, Options{Workload: spec, Software: swpref.IP, PollutionFilter: true})
-	if filtered.DroppedByFilter == 0 {
-		t.Fatal("filter dropped nothing on a pollution-heavy workload")
-	}
-	if filtered.Speedup(base) <= blind.Speedup(base) {
-		t.Errorf("filter did not help: blind %.3f vs filtered %.3f",
-			blind.Speedup(base), filtered.Speedup(base))
-	}
-}

@@ -84,11 +84,11 @@ type equivConfig struct {
 }
 
 // equivConfigs spans the Options space: baseline, both software
-// transforms, every hardware prefetcher family with throttling and
-// filtering, perfect memory, the invariant sweep and DRAM scheduling
-// without age promotion — so the streams cover both request kinds, the
-// MRQ merge/reject paths, throttle-degree and prefetch trace events, and
-// every attribution outcome.
+// transforms, MT-HWP with and without throttling, Stride RPT (also under
+// the invariant sweep), GHB, perfect memory, the invariant sweep and
+// DRAM scheduling without age promotion — so the streams cover both
+// request kinds, the MRQ merge/reject paths, throttle-degree and
+// prefetch trace events, and the attribution outcomes these runs reach.
 func equivConfigs(t *testing.T) []equivConfig {
 	t.Helper()
 	mthwp := func() prefetch.Prefetcher {
@@ -106,10 +106,10 @@ func equivConfigs(t *testing.T) []equivConfig {
 		{"swp-throttle", Options{Workload: tiny(t, "stream"), Software: swpref.Stride, Throttle: true}},
 		{"mthwp", Options{Workload: tiny(t, "conv"), Hardware: mthwp}},
 		{"mthwp-throttle", Options{Workload: tiny(t, "conv"), Throttle: true, Hardware: mthwp}},
-		{"stride-filter", Options{Workload: tiny(t, "monte"), PollutionFilter: true, Hardware: strideRPT}},
-		{"stride-filter-checks", Options{Workload: tiny(t, "mersenne"), PollutionFilter: true,
+		{"stride-rpt", Options{Workload: tiny(t, "monte"), Hardware: strideRPT}},
+		{"stride-rpt-checks", Options{Workload: tiny(t, "mersenne"),
 			Checks: true, CheckEvery: 1000, Hardware: strideRPT}},
-		{"ghb-filter", Options{Workload: tiny(t, "mersenne"), PollutionFilter: true,
+		{"ghb", Options{Workload: tiny(t, "mersenne"),
 			Hardware: func() prefetch.Prefetcher {
 				return prefetch.NewGHB(prefetch.GHBOptions{WarpAware: true})
 			}}},

@@ -25,7 +25,7 @@ import (
 // baseline demand traffic plus prefetch-generating configurations, so
 // spans cover both Kind values and the MRQ merge/reject paths.
 var spanConfigs = map[string]bool{
-	"baseline": true, "sw-stride": true, "mthwp-throttle": true, "ghb-filter": true,
+	"baseline": true, "sw-stride": true, "mthwp-throttle": true, "ghb": true,
 }
 
 // runSpansOnly executes o with span tracing as the only observer and

@@ -107,9 +107,6 @@ type CorruptStride struct {
 
 var _ prefetch.Prefetcher = (*CorruptStride)(nil)
 
-// Name implements prefetch.Prefetcher.
-func (c *CorruptStride) Name() string { return c.Inner.Name() + "+corrupt" }
-
 // Observe implements prefetch.Prefetcher.
 func (c *CorruptStride) Observe(t prefetch.Train, out []prefetch.Candidate) []prefetch.Candidate {
 	before := len(out)

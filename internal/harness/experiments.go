@@ -44,7 +44,7 @@ func runTable2(Config) ([]*stats.Table, error) {
 		c.DRAMChannels, c.DRAMBanks, c.DRAMRowBytes, c.DRAMtCL, c.DRAMtRCD, c.DRAMtRP))
 	t.AddRow("peak bandwidth", fmt.Sprintf("%.1f GB/s", c.BandwidthGBs()))
 	t.AddRow("prefetch cache", fmt.Sprintf("%d KB, %d-way", c.PrefetchCacheBytes/1024, c.PrefetchCacheWays))
-	t.AddRow("prefetch distance/degree", fmt.Sprintf("%d / %d", c.PrefetchDistance, c.PrefetchDegree))
+	t.AddRow("prefetch distance/degree", fmt.Sprintf("%d / %d", prefetch.Distance, prefetch.Degree))
 	t.AddRow("scheduling priority", "demand over prefetch")
 	return []*stats.Table{t}, nil
 }
@@ -119,11 +119,14 @@ func runTable4(c Config) ([]*stats.Table, error) {
 func runTable5(Config) ([]*stats.Table, error) {
 	t := stats.NewTable("Table V — evaluated hardware prefetchers",
 		"prefetcher", "description", "configuration")
-	t.AddRow("Stride RPT", "region-based stride prefetcher [13]", "1024-entry, 16 region bits")
-	t.AddRow("StridePC", "per-PC stride prefetcher [4,11]", "1024-entry")
-	t.AddRow("Stream", "stream prefetcher [29]", "512-entry")
-	t.AddRow("GHB AC/DC", "global history buffer prefetcher [14,21]", "1024-entry GHB, 12-bit CZone, 128-entry index")
-	t.AddRow("MT-HWP", "this paper", "32-entry PWS + 8-entry GS + 8-entry IP")
+	t.AddRow("Stride RPT", "region-based stride prefetcher [13]",
+		fmt.Sprintf("%d-entry, %d region bits", prefetch.StrideRPTEntries, prefetch.StrideRPTRegionBits))
+	t.AddRow("StridePC", "per-PC stride prefetcher [4,11]", fmt.Sprintf("%d-entry", prefetch.StridePCEntries))
+	t.AddRow("Stream", "stream prefetcher [29]", fmt.Sprintf("%d-entry", prefetch.StreamEntries))
+	t.AddRow("GHB AC/DC", "global history buffer prefetcher [14,21]",
+		fmt.Sprintf("%d-entry GHB, %d-bit CZone, %d-entry index", prefetch.GHBEntries, prefetch.GHBCZoneBits, prefetch.GHBIndexEntries))
+	t.AddRow("MT-HWP", "this paper", fmt.Sprintf("%d-entry PWS + %d-entry GS + %d-entry IP",
+		prefetch.PWSEntries, prefetch.GSEntries, prefetch.IPEntries))
 	return []*stats.Table{t}, nil
 }
 

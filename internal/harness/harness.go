@@ -361,8 +361,8 @@ func fingerprint(o core.Options) string {
 	if o.Hardware != nil {
 		hw = "set"
 	}
-	return fmt.Sprintf("bench=%s cores=%d sw=%v hw=%s throttle=%v filter=%v pmem=%v",
-		bench, cfg.NumCores, o.Software, hw, o.Throttle, o.PollutionFilter, o.PerfectMemory)
+	return fmt.Sprintf("bench=%s cores=%d sw=%v hw=%s throttle=%v pmem=%v",
+		bench, cfg.NumCores, o.Software, hw, o.Throttle, o.PerfectMemory)
 }
 
 // failures aggregates every failed completed run into a *SweepError

@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"fmt"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -42,23 +45,51 @@ func TestByID(t *testing.T) {
 	}
 }
 
+// footerRE matches the timing part of mtpref's per-experiment footer.
+var footerRE = regexp.MustCompile(`completed in [^\]]*\]`)
+
+// referenceSection returns experiment id's section of
+// results_reference.txt, the output of `mtpref all`, from its "== id"
+// header through the blank line after its footer, with the footer's
+// timing normalised.
+func referenceSection(t *testing.T, id string) string {
+	t.Helper()
+	data, err := os.ReadFile("../../results_reference.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(data)
+	start := strings.Index(text, "== "+id+" (")
+	if start < 0 {
+		t.Fatalf("results_reference.txt has no %s section", id)
+	}
+	end := len(text)
+	if i := strings.Index(text[start+1:], "\n== "); i >= 0 {
+		end = start + 1 + i + 1
+	}
+	return footerRE.ReplaceAllString(text[start:end], "completed]")
+}
+
+// TestStaticTables renders the experiments that simulate nothing as
+// `mtpref run` prints them and diffs each against its section of
+// results_reference.txt, so the printed sizes and parameters are the
+// simulated ones: Table V and VI read the prefetch package's table-size
+// constants and Table II the machine and prefetch constants.
 func TestStaticTables(t *testing.T) {
-	// The config-only experiments run instantly and pin key content.
-	for id, want := range map[string]string{
-		"table2": "57.6 GB/s",
-		"table5": "GHB AC/DC",
-		"table6": "557 bytes",
-	} {
-		tables, err := ByID(id).Run(fastConfig())
+	for _, id := range []string{"table2", "table5", "table6"} {
+		e := ByID(id)
+		tables, err := e.Run(fastConfig())
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		out := ""
+		var b strings.Builder
+		fmt.Fprintf(&b, "== %s (%s) ==\n", e.ID, e.PaperRef)
 		for _, tb := range tables {
-			out += tb.String()
+			fmt.Fprintln(&b, tb)
 		}
-		if !strings.Contains(out, want) {
-			t.Errorf("%s output missing %q:\n%s", id, want, out)
+		fmt.Fprintf(&b, "[%s completed]\n\n", e.ID)
+		if got, want := b.String(), referenceSection(t, id); got != want {
+			t.Errorf("%s differs from results_reference.txt:\n--- got\n%s--- want\n%s", id, got, want)
 		}
 	}
 }

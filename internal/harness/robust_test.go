@@ -137,8 +137,6 @@ func TestCrashDumpBundle(t *testing.T) {
 // of Run's core-stepping phase.
 type panicAfterPF struct{ n int }
 
-func (p *panicAfterPF) Name() string { return "panic-after" }
-
 func (p *panicAfterPF) Observe(tr prefetch.Train, out []prefetch.Candidate) []prefetch.Candidate {
 	p.n--
 	if p.n <= 0 {

@@ -58,7 +58,7 @@ const (
 	SrcSWStride
 	// SrcSWIP is the software inter-thread prefetching transform.
 	SrcSWIP
-	// SrcGHB is the GHB AC/DC (or PC/DC) prefetcher.
+	// SrcGHB is the GHB AC/DC prefetcher.
 	SrcGHB
 	// SrcStream is the stream prefetcher.
 	SrcStream
@@ -123,8 +123,6 @@ const (
 	OutNone Outcome = iota
 	// OutDroppedThrottle: rejected by the throttle engine before issue.
 	OutDroppedThrottle
-	// OutDroppedFilter: rejected by the pollution filter before issue.
-	OutDroppedFilter
 	// OutDroppedInCache: the block was already in the prefetch cache.
 	OutDroppedInCache
 	// OutDroppedQueueFull: the MRQ was full; the candidate was abandoned.
@@ -155,8 +153,6 @@ func (o Outcome) String() string {
 		return "none"
 	case OutDroppedThrottle:
 		return "dropped-throttle"
-	case OutDroppedFilter:
-		return "dropped-filter"
 	case OutDroppedInCache:
 		return "dropped-in-cache"
 	case OutDroppedQueueFull:

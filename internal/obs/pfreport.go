@@ -25,7 +25,7 @@ type PFCounts struct {
 	Generated uint64 `json:"generated"` // candidates emitted by the prefetcher
 
 	DroppedThrottle  uint64 `json:"dropped_throttle"`   // rejected by the throttle engine
-	DroppedFilter    uint64 `json:"dropped_filter"`     // rejected by the pollution filter
+	DroppedFilter    uint64 `json:"dropped_filter"`     // always 0 (no pollution filter); kept for the record schema
 	DroppedInCache   uint64 `json:"dropped_in_cache"`   // block already in the prefetch cache
 	DroppedQueueFull uint64 `json:"dropped_queue_full"` // MRQ full
 	MergedMRQ        uint64 `json:"merged_mrq"`         // folded into an outstanding entry
@@ -47,7 +47,6 @@ type PFCounts struct {
 func (c *PFCounts) Add(o PFCounts) {
 	c.Generated += o.Generated
 	c.DroppedThrottle += o.DroppedThrottle
-	c.DroppedFilter += o.DroppedFilter
 	c.DroppedInCache += o.DroppedInCache
 	c.DroppedQueueFull += o.DroppedQueueFull
 	c.MergedMRQ += o.MergedMRQ
@@ -64,8 +63,7 @@ func (c *PFCounts) Add(o PFCounts) {
 
 // dropped sums the pre-issue drops.
 func (c *PFCounts) dropped() uint64 {
-	return c.DroppedThrottle + c.DroppedFilter + c.DroppedInCache +
-		c.DroppedQueueFull + c.MergedMRQ
+	return c.DroppedThrottle + c.DroppedInCache + c.DroppedQueueFull + c.MergedMRQ
 }
 
 // terminals sums the post-issue fates.
@@ -133,8 +131,6 @@ func (p *PFReport) Record(prov memreq.Provenance, out memreq.Outcome) {
 	switch out {
 	case memreq.OutDroppedThrottle:
 		c.DroppedThrottle++
-	case memreq.OutDroppedFilter:
-		c.DroppedFilter++
 	case memreq.OutDroppedInCache:
 		c.DroppedInCache++
 	case memreq.OutDroppedQueueFull:

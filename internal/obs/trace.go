@@ -20,9 +20,6 @@ const (
 	// EvPrefetchThrottled: a candidate was dropped by the throttle
 	// engine. Arg = block address, Arg2 = current degree.
 	EvPrefetchThrottled
-	// EvPrefetchFiltered: a candidate was dropped by the pollution
-	// filter. Arg = block address, Arg2 = generating PC.
-	EvPrefetchFiltered
 	// EvEarlyEviction: a prefetched block was evicted before first use.
 	// Arg = victim block address.
 	EvEarlyEviction
@@ -46,7 +43,6 @@ const (
 var eventNames = [...]string{
 	EvPrefetchIssued:    "prefetch issued",
 	EvPrefetchThrottled: "prefetch throttled",
-	EvPrefetchFiltered:  "prefetch filtered",
 	EvEarlyEviction:     "early eviction",
 	EvLatePrefetch:      "late prefetch",
 	EvThrottleDegree:    "throttle degree",

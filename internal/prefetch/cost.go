@@ -11,8 +11,8 @@ type TableCost struct {
 // TotalBits returns the table's storage in bits.
 func (t TableCost) TotalBits() int { return t.BitsPerEntry * t.Entries }
 
-// MTHWPCost reproduces Table VI: the hardware budget of MT-HWP with the
-// evaluated 32-entry PWS, 8-entry GS and 8-entry IP tables.
+// MTHWPCost reproduces Table VI: the hardware budget of MT-HWP at the
+// table sizes it simulates (PWSEntries, GSEntries, IPEntries).
 //
 // Field widths, from the paper: PC 4B, warp id 1B, train bit 1b, last
 // address 4B, stride 20b; the IP table keeps two (wid, addr) pairs.
@@ -29,19 +29,19 @@ func MTHWPCost() []TableCost {
 			Name:         "PWS",
 			Fields:       "PC (4B), wid (1B), train (1b), last (4B), stride (20b)",
 			BitsPerEntry: pcBits + widBits + trainBits + addrBits + strideBits, // 93
-			Entries:      32,
+			Entries:      PWSEntries,
 		},
 		{
 			Name:         "GS",
 			Fields:       "PC (4B), stride (20b)",
 			BitsPerEntry: pcBits + strideBits, // 52
-			Entries:      8,
+			Entries:      GSEntries,
 		},
 		{
 			Name:         "IP",
 			Fields:       "PC (4B), stride (20b), train (1b), 2-wid (2B), 2-addr (8B)",
 			BitsPerEntry: pcBits + strideBits + trainBits + 2*widBits + 2*addrBits, // 133
-			Entries:      8,
+			Entries:      IPEntries,
 		},
 	}
 }

@@ -2,32 +2,37 @@ package prefetch
 
 import "mtprefetch/internal/memreq"
 
+// GHB AC/DC's Table V sizes.
+const (
+	GHBEntries      = 1024 // history buffer entries
+	GHBIndexEntries = 128  // index-table entries
+	GHBCZoneBits    = 12   // log2 of the CZone size in bytes (4KB zones)
+)
+
+const (
+	ghbMaxChain  = 16 // history entries one access walks
+	ghbMaxDegree = 4  // GHB+F's degree ceiling; its floor is Degree
+)
+
 // GHB is the global history buffer prefetcher of Table V (Nesbit &
-// Smith): an n-entry FIFO of recent miss addresses threaded by linked
-// lists. In AC/DC form (the paper's configuration) the index table is
-// keyed by CZone (address region); the PC/DC variant localizes by the
-// accessing PC instead. On each access it rebuilds the localized delta
-// history and applies two-delta correlation to predict the next
-// addresses; a repeating pair of deltas anywhere in the history replays
-// the deltas that followed it.
+// Smith) in its AC/DC form: an n-entry FIFO of recent miss addresses
+// threaded by linked lists, with the index table keyed by CZone (address
+// region). On each access it rebuilds the zone's delta history and
+// applies two-delta correlation to predict the next addresses; a
+// repeating pair of deltas anywhere in the history replays the deltas
+// that followed it.
 //
 // The enhanced form additionally separates streams per warp id.
 type GHB struct {
-	buf       []ghbEntry // circular
-	seq       uint64     // total pushes; buf[(seq-1) % len] is newest
+	buf       [GHBEntries]ghbEntry // circular
+	seq       uint64               // total pushes; buf[(seq-1) % len] is newest
 	index     *table[key2, uint64]
-	czoneBits uint
-	pcLocal   bool
 	warpAware bool
-	distance  int
 	degree    int
-	maxChain  int
 
 	// Accuracy-directed feedback (GHB+F, Section VIII-C): degree rises
 	// when prefetch accuracy is high and falls when it is low.
-	feedback  bool
-	minDegree int
-	maxDegree int
+	feedback bool
 }
 
 type ghbEntry struct {
@@ -38,61 +43,18 @@ type ghbEntry struct {
 
 // GHBOptions configures a GHB prefetcher.
 type GHBOptions struct {
-	BufferSize  int  // GHB entries (default 1024)
-	IndexSize   int  // index-table entries (default 128)
-	CZoneBits   uint // log2 of CZone size in bytes (default 12 = 4KB zones)
-	PCLocalized bool // PC/DC variant: localize by PC instead of CZone
-	WarpAware   bool
-	Distance    int
-	Degree      int
-	Feedback    bool // enable accuracy-directed degree control (+F)
+	WarpAware bool
+	Feedback  bool // enable accuracy-directed degree control (+F)
 }
 
 // NewGHB builds a GHB AC/DC prefetcher.
 func NewGHB(o GHBOptions) *GHB {
-	if o.BufferSize == 0 {
-		o.BufferSize = 1024
-	}
-	if o.IndexSize == 0 {
-		o.IndexSize = 128
-	}
-	if o.CZoneBits == 0 {
-		o.CZoneBits = 12
-	}
-	if o.Distance == 0 {
-		o.Distance = 1
-	}
-	if o.Degree == 0 {
-		o.Degree = 1
-	}
 	return &GHB{
-		buf:       make([]ghbEntry, o.BufferSize),
-		index:     newTable[key2, uint64](o.IndexSize),
-		czoneBits: o.CZoneBits,
-		pcLocal:   o.PCLocalized,
+		index:     newTable[key2, uint64](GHBIndexEntries),
 		warpAware: o.WarpAware,
-		distance:  o.Distance,
-		degree:    o.Degree,
-		maxChain:  16,
+		degree:    Degree,
 		feedback:  o.Feedback,
-		minDegree: 1,
-		maxDegree: 4,
 	}
-}
-
-// Name implements Prefetcher.
-func (p *GHB) Name() string {
-	n := "ghb"
-	if p.pcLocal {
-		n = "ghb-pcdc"
-	}
-	if p.warpAware {
-		n += "+wid"
-	}
-	if p.feedback {
-		n += "+F"
-	}
-	return n
 }
 
 // entryAt returns the buffer entry for a sequence number if it is still
@@ -107,10 +69,7 @@ func (p *GHB) entryAt(seq uint64) (*ghbEntry, bool) {
 
 // Observe implements Prefetcher.
 func (p *GHB) Observe(t Train, out []Candidate) []Candidate {
-	k := key2{int(t.Addr >> p.czoneBits), 0}
-	if p.pcLocal {
-		k.a = t.PC
-	}
+	k := key2{int(t.Addr >> GHBCZoneBits), 0}
 	if p.warpAware {
 		k.b = t.WarpID
 	}
@@ -124,11 +83,11 @@ func (p *GHB) Observe(t Train, out []Candidate) []Candidate {
 	p.index.put(k, p.seq)
 
 	// Walk the chain, newest first, collecting addresses.
-	var addrs [17]uint64 // maxChain+1
+	var addrs [ghbMaxChain + 1]uint64
 	n := 0
 	addrs[n] = t.Addr
 	n++
-	for seq := prev; n <= p.maxChain; {
+	for seq := prev; n <= ghbMaxChain; {
 		e, ok := p.entryAt(seq)
 		if !ok || e.key != k {
 			break
@@ -142,7 +101,7 @@ func (p *GHB) Observe(t Train, out []Candidate) []Candidate {
 	}
 	// Time-ordered deltas: with addrs newest-first, delta[i] is the step
 	// taken *into* addrs[i]: delta[i] = addrs[i] - addrs[i+1].
-	var deltas [16]int64
+	var deltas [ghbMaxChain]int64
 	nd := n - 1
 	for i := 0; i < nd; i++ {
 		deltas[i] = int64(addrs[i]) - int64(addrs[i+1])
@@ -153,8 +112,7 @@ func (p *GHB) Observe(t Train, out []Candidate) []Candidate {
 	for j := 1; j+1 < nd; j++ {
 		if deltas[j] == d0 && deltas[j+1] == d1 {
 			base := int64(t.Addr)
-			deg := p.degree
-			for i := 0; i < deg && j-1-i >= 0; i++ {
+			for i := 0; i < p.degree && j-1-i >= 0; i++ {
 				base += deltas[j-1-i]
 				if base <= 0 {
 					break
@@ -166,7 +124,7 @@ func (p *GHB) Observe(t Train, out []Candidate) []Candidate {
 	}
 	// Constant-stride fallback when the two most recent deltas agree.
 	if d0 == d1 && d0 != 0 {
-		return genStride(memreq.SrcGHB, t.Addr, d0, p.distance, p.degree, t.Footprint, out)
+		return genStride(memreq.SrcGHB, t.Addr, d0, Distance, p.degree, t.Footprint, out)
 	}
 	return out
 }
@@ -178,9 +136,9 @@ func (p *GHB) ApplyFeedback(f Feedback) {
 	}
 	acc := float64(f.Useful) / float64(f.Issued)
 	switch {
-	case acc > 0.5 && p.degree < p.maxDegree:
+	case acc > 0.5 && p.degree < ghbMaxDegree:
 		p.degree++
-	case acc < 0.25 && p.degree > p.minDegree:
+	case acc < 0.25 && p.degree > Degree:
 		p.degree--
 	}
 }

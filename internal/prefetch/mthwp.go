@@ -5,6 +5,13 @@ import (
 	"mtprefetch/internal/obs"
 )
 
+// MT-HWP's table sizes: the evaluated configuration that Table VI costs.
+const (
+	PWSEntries = 32
+	GSEntries  = 8
+	IPEntries  = 8
+)
+
 // MTHWP is the paper's many-thread aware hardware prefetcher (Section
 // III-B, Fig. 6). It combines three tables:
 //
@@ -31,7 +38,6 @@ type MTHWP struct {
 	enableIP bool
 
 	distance int
-	degree   int
 
 	trace      *obs.Tracer // nil: promotion tracing disabled
 	traceTrack int
@@ -57,57 +63,27 @@ type MTHWPStats struct {
 	Promotions   uint64 // (PC, stride) pairs promoted into GS
 }
 
-// MTHWPOptions configures the prefetcher; zero values select the paper's
-// evaluation configuration (32-entry PWS, 8-entry GS, 8-entry IP,
-// distance 1, degree 1).
+// MTHWPOptions selects which tables run beside PWS and the prefetch
+// distance; the zero value is PWS alone at distance 1.
 type MTHWPOptions struct {
-	PWSSize  int
-	GSSize   int
-	IPSize   int
 	EnableGS bool
 	EnableIP bool
-	Distance int
-	Degree   int
+	Distance int // strides ahead (Fig. 17); 0 selects Distance
 }
 
 // NewMTHWP builds an MT-HWP instance.
 func NewMTHWP(o MTHWPOptions) *MTHWP {
-	if o.PWSSize == 0 {
-		o.PWSSize = 32
-	}
-	if o.GSSize == 0 {
-		o.GSSize = 8
-	}
-	if o.IPSize == 0 {
-		o.IPSize = 8
-	}
 	if o.Distance == 0 {
-		o.Distance = 1
-	}
-	if o.Degree == 0 {
-		o.Degree = 1
+		o.Distance = Distance
 	}
 	return &MTHWP{
-		pws:      newTable[key2, strideState](o.PWSSize),
-		gs:       newTable[int, int64](o.GSSize),
-		ip:       newTable[int, ipState](o.IPSize),
+		pws:      newTable[key2, strideState](PWSEntries),
+		gs:       newTable[int, int64](GSEntries),
+		ip:       newTable[int, ipState](IPEntries),
 		enableGS: o.EnableGS,
 		enableIP: o.EnableIP,
 		distance: o.Distance,
-		degree:   o.Degree,
 	}
-}
-
-// Name implements Prefetcher.
-func (p *MTHWP) Name() string {
-	n := "pws"
-	if p.enableGS {
-		n += "+gs"
-	}
-	if p.enableIP {
-		n += "+ip"
-	}
-	return n
 }
 
 // Stats returns a snapshot of per-table counters.
@@ -151,7 +127,7 @@ func (p *MTHWP) Observe(t Train, out []Candidate) []Candidate {
 			if p.enableIP {
 				p.trainIP(t) // IP keeps training; no extra generation
 			}
-			return genStride(memreq.SrcGS, t.Addr, *stride, p.distance, p.degree, t.Footprint, out)
+			return genStride(memreq.SrcGS, t.Addr, *stride, p.distance, Degree, t.Footprint, out)
 		}
 	}
 	// Cycle 1: PWS.
@@ -174,11 +150,11 @@ func (p *MTHWP) Observe(t Train, out []Candidate) []Candidate {
 		if p.enableGS {
 			p.maybePromote(t.PC, t.Cycle, st.stride)
 		}
-		return genStride(memreq.SrcPWS, t.Addr, st.stride, p.distance, p.degree, t.Footprint, out)
+		return genStride(memreq.SrcPWS, t.Addr, st.stride, p.distance, Degree, t.Footprint, out)
 	}
 	if ipHit {
 		p.stats.IPHits++
-		return genStride(memreq.SrcHWIP, t.Addr, ipStride, p.distance, p.degree, t.Footprint, out)
+		return genStride(memreq.SrcHWIP, t.Addr, ipStride, p.distance, Degree, t.Footprint, out)
 	}
 	return out
 }

@@ -41,8 +41,6 @@ type Candidate struct {
 
 // Prefetcher turns demand observations into prefetch candidates.
 type Prefetcher interface {
-	// Name identifies the mechanism in experiment output.
-	Name() string
 	// Observe records the access and appends candidate prefetches to
 	// out, returning the extended slice. The Footprint slice is only
 	// valid during the call.
@@ -62,6 +60,15 @@ type FeedbackPrefetcher interface {
 	Prefetcher
 	ApplyFeedback(f Feedback)
 }
+
+// The paper's prefetch aggressiveness (Table II): every prefetcher
+// targets the next stride (distance 1) with one prefetch per trigger
+// (degree 1). MT-HWP's distance is the one Fig. 17 sweeps (see
+// MTHWPOptions.Distance), and GHB+F adapts its degree up from Degree.
+const (
+	Distance = 1
+	Degree   = 1
+)
 
 // maxCandidates caps how many blocks one observation may generate, keeping
 // uncoalesced footprints at high degree from flooding the queue.

@@ -124,9 +124,12 @@ func TestStridePCNaiveConfusedByInterleaving(t *testing.T) {
 	}
 }
 
+// TestStridePCDistanceDegree checks the arithmetic a trained stride
+// (here StridePC's 100 bytes at 200) feeds into genStride at distance 3
+// and degree 2: MT-HWP's distance (Fig. 17) and GHB+F's adapted degree
+// still vary it.
 func TestStridePCDistanceDegree(t *testing.T) {
-	p := NewStridePC(StridePCOptions{WarpAware: true, Distance: 3, Degree: 2})
-	out := trainAddrs(p, 1, 1, 0, 100, 200)
+	out := addrsOf(genStride(memreq.SrcStridePC, 200, 100, 3, 2, fp, nil))
 	want := []uint64{500, 600}
 	if len(out) != 2 || out[0] != want[0] || out[1] != want[1] {
 		t.Fatalf("out = %v, want %v", out, want)
@@ -134,7 +137,8 @@ func TestStridePCDistanceDegree(t *testing.T) {
 }
 
 func TestStridePCTableEviction(t *testing.T) {
-	p := NewStridePC(StridePCOptions{TableSize: 2, WarpAware: true})
+	p := NewStridePC(StridePCOptions{WarpAware: true})
+	p.tab = newTable[key2, strideState](2)
 	trainAddrs(p, 1, 1, 0, 100) // entry A
 	trainAddrs(p, 2, 1, 0, 100) // entry B
 	trainAddrs(p, 3, 1, 0, 100) // evicts A
@@ -186,11 +190,16 @@ func TestStreamDetectsDescending(t *testing.T) {
 }
 
 func TestStreamWindow(t *testing.T) {
-	p := NewStream(StreamOptions{Window: 4})
-	// Jumping far allocates a fresh stream instead of matching.
-	out := trainAddrs(p, 0, 1, 0, 1<<20, 2<<20)
-	if len(out) != 0 {
-		t.Errorf("far jumps should not train a stream: %v", out)
+	// Jumping one block past the window allocates a fresh stream
+	// instead of matching.
+	const jump = (streamWindow + 1) * streamBlock
+	if out := trainAddrs(NewStream(StreamOptions{}), 0, 1, 0, jump, 2*jump); len(out) != 0 {
+		t.Errorf("jumps past the window should not train a stream: %v", out)
+	}
+	// Jumps of exactly the window still match and train.
+	const edge = streamWindow * streamBlock
+	if out := trainAddrs(NewStream(StreamOptions{}), 0, 1, 0, edge, 2*edge); len(out) != 1 || out[0] != 2*edge+streamBlock {
+		t.Errorf("jumps at the window edge = %v, want [%d]", out, 2*edge+streamBlock)
 	}
 }
 
@@ -225,7 +234,8 @@ func TestGHBConstantStride(t *testing.T) {
 }
 
 func TestGHBDeltaCorrelation(t *testing.T) {
-	p := NewGHB(GHBOptions{Degree: 2})
+	p := NewGHB(GHBOptions{})
+	p.degree = 2
 	// Repeating irregular pattern within one CZone: deltas +8, +56, +8, +56...
 	// (all within a 4KB zone). After the pattern repeats, the pair
 	// correlation should predict the next deltas.
@@ -252,6 +262,16 @@ func TestGHBSeparateCZones(t *testing.T) {
 	}
 	if len(out) != 2 {
 		t.Fatalf("prefetches = %v, want one per zone", out)
+	}
+	// One PC striding across far-apart zones fragments the history, so
+	// AC/DC finds no stride.
+	q := NewGHB(GHBOptions{WarpAware: true})
+	out = nil
+	for i := uint64(0); i < 3; i++ {
+		out = q.Observe(Train{PC: 7, WarpID: 1, Addr: i * (1 << 16), Footprint: fp}, out)
+	}
+	if len(out) != 0 {
+		t.Errorf("AC/DC found a cross-zone stride: %v", out)
 	}
 }
 
@@ -340,53 +360,5 @@ func TestLRUTablePeek(t *testing.T) {
 	tab.put(3, 30) // evicts 1
 	if _, ok := tab.peek(1); ok {
 		t.Error("peek refreshed LRU position")
-	}
-}
-
-func TestNames(t *testing.T) {
-	cases := []struct {
-		p    Prefetcher
-		want string
-	}{
-		{NewStridePC(StridePCOptions{}), "stridepc"},
-		{NewStridePC(StridePCOptions{WarpAware: true}), "stridepc+wid"},
-		{NewStridePC(StridePCOptions{WarpAware: true, Throttled: true}), "stridepc+wid+T"},
-		{NewStrideRPT(StrideRPTOptions{}), "stride"},
-		{NewStrideRPT(StrideRPTOptions{WarpAware: true}), "stride+wid"},
-		{NewStream(StreamOptions{}), "stream"},
-		{NewGHB(GHBOptions{WarpAware: true, Feedback: true}), "ghb+wid+F"},
-		{NewMTHWP(MTHWPOptions{EnableGS: true, EnableIP: true}), "pws+gs+ip"},
-		{NewMTHWP(MTHWPOptions{}), "pws"},
-	}
-	for _, c := range cases {
-		if got := c.p.Name(); got != c.want {
-			t.Errorf("Name = %q, want %q", got, c.want)
-		}
-	}
-}
-
-func TestGHBPCDCVariant(t *testing.T) {
-	p := NewGHB(GHBOptions{PCLocalized: true, WarpAware: true})
-	if p.Name() != "ghb-pcdc+wid" {
-		t.Errorf("Name = %q", p.Name())
-	}
-	// PC-localized delta correlation: one PC strides across far-apart
-	// zones — AC/DC's CZone index would fragment the history, PC/DC
-	// should still find the stride.
-	var out []Candidate
-	for i := uint64(0); i < 3; i++ {
-		out = p.Observe(Train{PC: 7, WarpID: 1, Addr: i * (1 << 16), Footprint: fp}, out)
-	}
-	if len(out) != 1 || out[0].Addr != 3<<16 {
-		t.Fatalf("PC/DC prefetch = %v, want [0x30000]", out)
-	}
-	// The plain AC/DC version fragments this pattern across zones.
-	q := NewGHB(GHBOptions{WarpAware: true})
-	out = nil
-	for i := uint64(0); i < 3; i++ {
-		out = q.Observe(Train{PC: 7, WarpID: 1, Addr: i * (1 << 16), Footprint: fp}, out)
-	}
-	if len(out) != 0 {
-		t.Errorf("AC/DC found a cross-zone stride: %v", out)
 	}
 }

@@ -2,18 +2,22 @@ package prefetch
 
 import "mtprefetch/internal/memreq"
 
-// Stream is the stream prefetcher of Table V (512-entry), in the style of
-// Jouppi's stream buffers / the POWER5 prefetcher: it watches for accesses
+// Stream prefetcher geometry: Table V's 512 entries, trained on 64-byte
+// blocks within a 16-block matching window.
+const (
+	StreamEntries = 512
+	streamBlock   = 64 // bytes per block
+	streamWindow  = 16 // max block distance for an access to match a stream
+)
+
+// Stream is the stream prefetcher of Table V, in the style of Jouppi's
+// stream buffers / the POWER5 prefetcher: it watches for accesses
 // marching through a memory region in a constant direction and, once a
 // direction is confirmed, runs ahead of the access stream.
 type Stream struct {
-	entries    []streamEntry
-	blockBytes uint64
-	window     uint64 // max block distance for an access to match a stream
-	warpAware  bool
-	distance   int
-	degree     int
-	stamp      uint64
+	entries   [StreamEntries]streamEntry
+	warpAware bool
+	stamp     uint64
 }
 
 type streamEntry struct {
@@ -27,55 +31,20 @@ type streamEntry struct {
 
 // StreamOptions configures a Stream prefetcher.
 type StreamOptions struct {
-	TableSize  int // stream entries (default 512)
-	BlockBytes int // default 64
-	Window     int // matching window in blocks (default 16)
-	WarpAware  bool
-	Distance   int
-	Degree     int
+	WarpAware bool
 }
 
 // NewStream builds a stream prefetcher.
 func NewStream(o StreamOptions) *Stream {
-	if o.TableSize == 0 {
-		o.TableSize = 512
-	}
-	if o.BlockBytes == 0 {
-		o.BlockBytes = 64
-	}
-	if o.Window == 0 {
-		o.Window = 16
-	}
-	if o.Distance == 0 {
-		o.Distance = 1
-	}
-	if o.Degree == 0 {
-		o.Degree = 1
-	}
-	return &Stream{
-		entries:    make([]streamEntry, o.TableSize),
-		blockBytes: uint64(o.BlockBytes),
-		window:     uint64(o.Window),
-		warpAware:  o.WarpAware,
-		distance:   o.Distance,
-		degree:     o.Degree,
-	}
-}
-
-// Name implements Prefetcher.
-func (p *Stream) Name() string {
-	if p.warpAware {
-		return "stream+wid"
-	}
-	return "stream"
+	return &Stream{warpAware: o.WarpAware}
 }
 
 // Observe implements Prefetcher.
 func (p *Stream) Observe(t Train, out []Candidate) []Candidate {
 	p.stamp++
-	block := t.Addr / p.blockBytes
+	block := t.Addr / streamBlock
 	// Find the closest matching stream.
-	best, bestDist := -1, p.window+1
+	best, bestDist := -1, uint64(streamWindow+1)
 	for i := range p.entries {
 		e := &p.entries[i]
 		if !e.valid {
@@ -90,7 +59,7 @@ func (p *Stream) Observe(t Train, out []Candidate) []Candidate {
 		} else {
 			d = e.lastBlock - block
 		}
-		if d <= p.window && d < bestDist {
+		if d <= streamWindow && d < bestDist {
 			best, bestDist = i, d
 		}
 	}
@@ -134,6 +103,5 @@ func (p *Stream) Observe(t Train, out []Candidate) []Candidate {
 	if e.conf < 1 {
 		return out
 	}
-	stride := dir * int64(p.blockBytes)
-	return genStride(memreq.SrcStream, t.Addr, stride, p.distance, p.degree, t.Footprint, out)
+	return genStride(memreq.SrcStream, t.Addr, dir*streamBlock, Distance, Degree, t.Footprint, out)
 }

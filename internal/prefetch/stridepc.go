@@ -31,6 +31,9 @@ func (s *strideState) observe(addr uint64) bool {
 	return s.conf >= 1 // stride seen twice in a row
 }
 
+// StridePCEntries is StridePC's Table V table size.
+const StridePCEntries = 1024
+
 // StridePC is the per-PC stride prefetcher of Table V ("StridePC",
 // 1024-entry). In naive form the table is indexed by PC alone, so the
 // interleaved accesses of many warps at one PC destroy the stride (Fig. 5);
@@ -40,8 +43,6 @@ func (s *strideState) observe(addr uint64) bool {
 type StridePC struct {
 	tab       *table[key2, strideState]
 	warpAware bool
-	distance  int
-	degree    int
 
 	// Lateness-directed throttling (StridePC+T).
 	throttled bool
@@ -51,43 +52,17 @@ type StridePC struct {
 
 // StridePCOptions configures a StridePC prefetcher.
 type StridePCOptions struct {
-	TableSize int  // entries (default 1024)
 	WarpAware bool // enhanced warp-id indexing
-	Distance  int
-	Degree    int
 	Throttled bool // enable lateness-directed throttling (+T)
 }
 
 // NewStridePC builds a StridePC prefetcher.
 func NewStridePC(o StridePCOptions) *StridePC {
-	if o.TableSize == 0 {
-		o.TableSize = 1024
-	}
-	if o.Distance == 0 {
-		o.Distance = 1
-	}
-	if o.Degree == 0 {
-		o.Degree = 1
-	}
 	return &StridePC{
-		tab:       newTable[key2, strideState](o.TableSize),
+		tab:       newTable[key2, strideState](StridePCEntries),
 		warpAware: o.WarpAware,
-		distance:  o.Distance,
-		degree:    o.Degree,
 		throttled: o.Throttled,
 	}
-}
-
-// Name implements Prefetcher.
-func (p *StridePC) Name() string {
-	n := "stridepc"
-	if p.warpAware {
-		n += "+wid"
-	}
-	if p.throttled {
-		n += "+T"
-	}
-	return n
 }
 
 func (p *StridePC) key(t Train) key2 {
@@ -114,7 +89,7 @@ func (p *StridePC) Observe(t Train, out []Candidate) []Candidate {
 			return out
 		}
 	}
-	return genStride(memreq.SrcStridePC, t.Addr, st.stride, p.distance, p.degree, t.Footprint, out)
+	return genStride(memreq.SrcStridePC, t.Addr, st.stride, Distance, Degree, t.Footprint, out)
 }
 
 // ApplyFeedback implements FeedbackPrefetcher for the +T variant: a high

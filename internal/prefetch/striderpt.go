@@ -2,61 +2,37 @@ package prefetch
 
 import "mtprefetch/internal/memreq"
 
+// Stride RPT's Table V geometry.
+const (
+	StrideRPTEntries    = 1024
+	StrideRPTRegionBits = 16 // log2 of the region size in bytes (64KB)
+)
+
 // StrideRPT is the region-based stride prefetcher of Table V ("Stride RPT",
 // 1024-entry, 16 region bits): training state is indexed by the memory
 // region an access falls in rather than by PC. The enhanced form
 // additionally separates regions per warp id.
 type StrideRPT struct {
-	tab        *table[key2, strideState]
-	regionBits uint
-	warpAware  bool
-	distance   int
-	degree     int
+	tab       *table[key2, strideState]
+	warpAware bool
 }
 
 // StrideRPTOptions configures a StrideRPT prefetcher.
 type StrideRPTOptions struct {
-	TableSize  int  // entries (default 1024)
-	RegionBits uint // log2 of the region size in bytes (default 16 = 64KB)
-	WarpAware  bool
-	Distance   int
-	Degree     int
+	WarpAware bool
 }
 
 // NewStrideRPT builds a region-stride prefetcher.
 func NewStrideRPT(o StrideRPTOptions) *StrideRPT {
-	if o.TableSize == 0 {
-		o.TableSize = 1024
-	}
-	if o.RegionBits == 0 {
-		o.RegionBits = 16
-	}
-	if o.Distance == 0 {
-		o.Distance = 1
-	}
-	if o.Degree == 0 {
-		o.Degree = 1
-	}
 	return &StrideRPT{
-		tab:        newTable[key2, strideState](o.TableSize),
-		regionBits: o.RegionBits,
-		warpAware:  o.WarpAware,
-		distance:   o.Distance,
-		degree:     o.Degree,
+		tab:       newTable[key2, strideState](StrideRPTEntries),
+		warpAware: o.WarpAware,
 	}
-}
-
-// Name implements Prefetcher.
-func (p *StrideRPT) Name() string {
-	if p.warpAware {
-		return "stride+wid"
-	}
-	return "stride"
 }
 
 // Observe implements Prefetcher.
 func (p *StrideRPT) Observe(t Train, out []Candidate) []Candidate {
-	region := int(t.Addr >> p.regionBits)
+	region := int(t.Addr >> StrideRPTRegionBits)
 	k := key2{region, 0}
 	if p.warpAware {
 		k.b = t.WarpID
@@ -69,5 +45,5 @@ func (p *StrideRPT) Observe(t Train, out []Candidate) []Candidate {
 	if !st.observe(t.Addr) {
 		return out
 	}
-	return genStride(memreq.SrcStrideRPT, t.Addr, st.stride, p.distance, p.degree, t.Footprint, out)
+	return genStride(memreq.SrcStrideRPT, t.Addr, st.stride, Distance, Degree, t.Footprint, out)
 }

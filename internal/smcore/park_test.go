@@ -143,9 +143,7 @@ func TestParkingMatchesRetries(t *testing.T) {
 	// Room for one uncoalesced load and little for prefetches.
 	small := config.Baseline()
 	small.MRQSize, small.MRQPrefetchReserve = 36, 4
-	rr := config.Baseline()
-	rr.Scheduler = config.RoundRobin
-	cfgs := map[string]*config.Config{"baseline": config.Baseline(), "small-mrq": small, "round-robin": rr}
+	cfgs := map[string]*config.Config{"baseline": config.Baseline(), "small-mrq": small}
 	for kname, prog := range parkKernels() {
 		for cname, cfg := range cfgs {
 			for _, hw := range []bool{false, true} {

@@ -49,7 +49,6 @@ type Stats struct {
 	PrefetchesIssued    uint64 // accepted into the MRQ as new entries
 	PrefetchMergedMRQ   uint64 // candidates merged into outstanding entries
 	DroppedThrottle     uint64
-	DroppedByFilter     uint64
 	DroppedInCache      uint64
 	DroppedQueueFull    uint64
 
@@ -123,7 +122,6 @@ type Core struct {
 	PFCache *cache.Cache
 	HWP     prefetch.Prefetcher
 	Throt   *throttle.Engine
-	Filter  *prefetch.PollutionFilter // nil: no pollution filtering
 
 	trace *obs.Tracer   // nil: event tracing disabled
 	pf    *obs.PFReport // nil: prefetch attribution disabled
@@ -141,15 +139,11 @@ type Core struct {
 	// a wake, so the count stays truthful for the whole stall window).
 	stallMRQ int
 
-	// pfOrigin maps resident prefetched-but-unused blocks to the PC that
-	// generated them, so the pollution filter can attribute outcomes.
-	pfOrigin map[uint64]int
-
 	perfectMem bool
 	periodic   bool // throttle engine or feedback prefetcher present
 
 	issueBusyUntil uint64
-	rr             int // round-robin scan start
+	rr             int // scan start: the warp that issued last (switch-on-stall)
 
 	// acct is the first cycle not yet attributed to a CPI bucket (only
 	// maintained with cycle accounting on). The simulator steps a core
@@ -208,11 +202,10 @@ type Options struct {
 	Config     *config.Config
 	Spec       *workload.Spec
 	Blocks     BlockSource
-	HWP        prefetch.Prefetcher       // nil: no hardware prefetching
-	Throttle   *throttle.Engine          // nil: no adaptive throttling
-	Filter     *prefetch.PollutionFilter // nil: no pollution filtering
-	PerfectMem bool                      // loads complete instantly (PMEM runs)
-	Pool       *memreq.Pool              // nil: requests are plainly allocated
+	HWP        prefetch.Prefetcher // nil: no hardware prefetching
+	Throttle   *throttle.Engine    // nil: no adaptive throttling
+	PerfectMem bool                // loads complete instantly (PMEM runs)
+	Pool       *memreq.Pool        // nil: requests are plainly allocated
 }
 
 // New builds a core and fills it with blocks up to the occupancy limit.
@@ -247,7 +240,6 @@ func New(o Options) (*Core, error) {
 		PFCache:    cache.New(o.Config.PrefetchCacheBytes, o.Config.PrefetchCacheWays, o.Config.BlockBytes),
 		HWP:        o.HWP,
 		Throt:      o.Throttle,
-		Filter:     o.Filter,
 		perfectMem: o.PerfectMem,
 		nextPeriod: o.Config.ThrottlePeriod,
 		pool:       o.Pool,
@@ -260,9 +252,6 @@ func New(o Options) (*Core, error) {
 	c.parkSB = masks[3*words : 4*words : 4*words]
 	c.parkMRQ = masks[4*words:]
 	c.mrqNeed = noNeed
-	if o.Filter != nil {
-		c.pfOrigin = make(map[uint64]int)
-	}
 	if _, ok := o.HWP.(prefetch.FeedbackPrefetcher); ok || o.Throttle != nil {
 		c.periodic = true
 	}
@@ -309,7 +298,6 @@ func (c *Core) Observe(reg *obs.Registry, tr *obs.Tracer) {
 	reg.CounterU64("smcore.prefetches_issued", l, &st.PrefetchesIssued)
 	reg.CounterU64("smcore.prefetch_merged_mrq", l, &st.PrefetchMergedMRQ)
 	reg.CounterU64("smcore.dropped_throttle", l, &st.DroppedThrottle)
-	reg.CounterU64("smcore.dropped_filter", l, &st.DroppedByFilter)
 	reg.CounterU64("smcore.dropped_in_cache", l, &st.DroppedInCache)
 	reg.CounterU64("smcore.dropped_queue_full", l, &st.DroppedQueueFull)
 	reg.CounterU64("smcore.late_prefetches", l, &st.LatePrefetches)
@@ -620,15 +608,6 @@ func (c *Core) Fill(cycle uint64, r *memreq.Request) {
 			if early && c.trace != nil {
 				c.trace.Emit(obs.EvEarlyEviction, cycle, c.id, victim, 0)
 			}
-			if c.Filter != nil {
-				c.pfOrigin[entry.Addr] = entry.PC
-				if early {
-					if pc, ok := c.pfOrigin[victim]; ok {
-						c.Filter.RecordEarly(pc)
-						delete(c.pfOrigin, victim)
-					}
-				}
-			}
 		}
 	}
 	c.wake()
@@ -912,11 +891,7 @@ func (c *Core) scanIssue(cycle uint64, from, to int) (bool, error) {
 			}
 			if issued {
 				c.passGhosts(wi, ghosts&(bit-1))
-				if c.cfg.Scheduler == config.RoundRobin {
-					c.rr = (slot + 1) % c.numWarps
-				} else {
-					c.rr = slot
-				}
+				c.rr = slot
 				return true, nil
 			}
 			c.stallWarp(slot)
@@ -1133,12 +1108,6 @@ func (c *Core) issueMemory(cycle uint64, slot int, in *kernel.Instr) (bool, erro
 	for _, addr := range txs {
 		if cacheLive && c.PFCache.Lookup(addr) {
 			c.stats.PFCacheHitTransactions++
-			if c.Filter != nil {
-				if pc, ok := c.pfOrigin[addr]; ok {
-					c.Filter.RecordUseful(pc)
-					delete(c.pfOrigin, addr)
-				}
-			}
 			continue
 		}
 		r := c.pool.Get(addr, c.cfg.BlockBytes, memreq.Demand, c.id, gwid, pc, cycle)
@@ -1220,12 +1189,12 @@ func (c *Core) issuePrefetches(cycle uint64, gwid, pc int, candidates []prefetch
 }
 
 // issuePrefetch filters one candidate through the throttle engine, the
-// pollution filter, the prefetch cache, and the MRQ, issuing it if it
-// survives. Prefetches are non-binding: on any resource shortage they are
-// dropped, never stalled. When attribution is attached, every candidate
-// is counted as generated and given exactly one pre-issue drop outcome or
-// an issue, under a provenance stamped with the generating source, the
-// training PC, the triggering warp, and the throttle degree at issue.
+// prefetch cache, and the MRQ, issuing it if it survives. Prefetches are
+// non-binding: on any resource shortage they are dropped, never stalled.
+// When attribution is attached, every candidate is counted as generated
+// and given exactly one pre-issue drop outcome or an issue, under a
+// provenance stamped with the generating source, the training PC, the
+// triggering warp, and the throttle degree at issue.
 func (c *Core) issuePrefetch(cycle uint64, gwid, pc int, src memreq.Source, addr uint64) {
 	addr = memreq.BlockAlign(addr, c.cfg.BlockBytes)
 	c.stats.PrefetchesGenerated++
@@ -1247,14 +1216,6 @@ func (c *Core) issuePrefetch(cycle uint64, gwid, pc int, src memreq.Source, addr
 		c.pf.Record(prov, memreq.OutDroppedThrottle)
 		if c.trace != nil {
 			c.trace.Emit(obs.EvPrefetchThrottled, cycle, c.id, addr, int64(c.Throt.Degree()))
-		}
-		return
-	}
-	if c.Filter != nil && !c.Filter.Allow(pc) {
-		c.stats.DroppedByFilter++
-		c.pf.Record(prov, memreq.OutDroppedFilter)
-		if c.trace != nil {
-			c.trace.Emit(obs.EvPrefetchFiltered, cycle, c.id, addr, int64(pc))
 		}
 		return
 	}

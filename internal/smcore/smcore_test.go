@@ -382,48 +382,6 @@ func TestIdleAndRetire(t *testing.T) {
 	}
 }
 
-func TestRoundRobinScheduler(t *testing.T) {
-	cfg := config.Baseline()
-	cfg.Scheduler = config.RoundRobin
-	spec := testSpec(t, computeOnly(6), 4, 1, 1)
-	c, err := New(Options{ID: 0, Config: cfg, Spec: spec, Blocks: &blockList{total: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	end := drain(t, c, 0, 10_000)
-	if got := c.Stats().WarpsCompleted; got != 4 {
-		t.Errorf("WarpsCompleted = %d, want 4", got)
-	}
-	// Issue-bound either way: 4 warps x 6 instrs x 4 cycles.
-	if end < 90 || end > 120 {
-		t.Errorf("round-robin drained at %d, want ~96", end)
-	}
-}
-
-func TestPollutionFilterWiring(t *testing.T) {
-	// A kernel that prefetches a stream it never reads: every prefetch is
-	// eventually early-evicted, so the filter must start dropping.
-	b := kernel.NewBuilder("bad")
-	b.BeginLoop(64)
-	b.Prefetch(kernel.Access{Array: 0, LaneStrideB: 64, IterStrideB: 64 * 64})
-	v := b.Load(kernel.Access{Array: 1, LaneStrideB: 4, IterStrideB: 128})
-	b.Compute(1, v)
-	b.EndLoop()
-	spec := testSpec(t, b.MustBuild(), 2, 1, 1)
-	c, err := New(Options{
-		ID: 0, Config: config.Baseline(), Spec: spec,
-		Blocks: &blockList{total: 1},
-		Filter: prefetch.NewPollutionFilter(0),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	drain(t, c, 60, 200_000)
-	if got := c.Stats().DroppedByFilter; got == 0 {
-		t.Error("filter never dropped a useless prefetch stream")
-	}
-}
-
 // TestRelaunchedWarpRecoalesces: a warp slot reused by a new block must
 // request its new warp's blocks. The relaunched warp's first memory
 // instruction has the same (pc, iter) as its predecessor's last one, so

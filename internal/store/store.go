@@ -343,19 +343,18 @@ func validFingerprint(fp string) bool {
 // the Hardware factory is represented by the memo key, which encodes
 // the prefetcher's name and parameters by construction.
 type fingerprintable struct {
-	Version         int            `json:"version"`
-	Key             string         `json:"key"`
-	Config          *config.Config `json:"config"`
-	Workload        *workload.Spec `json:"workload"`
-	Software        swpref.Mode    `json:"software"`
-	Hardware        bool           `json:"hardware"`
-	Throttle        bool           `json:"throttle"`
-	PollutionFilter bool           `json:"pollution_filter"`
-	PerfectMemory   bool           `json:"perfect_memory"`
-	MaxCycles       uint64         `json:"max_cycles"`
-	WatchdogWindow  uint64         `json:"watchdog_window"`
-	Checks          bool           `json:"checks"`
-	CheckEvery      uint64         `json:"check_every"`
+	Version        int            `json:"version"`
+	Key            string         `json:"key"`
+	Config         *config.Config `json:"config"`
+	Workload       *workload.Spec `json:"workload"`
+	Software       swpref.Mode    `json:"software"`
+	Hardware       bool           `json:"hardware"`
+	Throttle       bool           `json:"throttle"`
+	PerfectMemory  bool           `json:"perfect_memory"`
+	MaxCycles      uint64         `json:"max_cycles"`
+	WatchdogWindow uint64         `json:"watchdog_window"`
+	Checks         bool           `json:"checks"`
+	CheckEvery     uint64         `json:"check_every"`
 }
 
 // Fingerprint computes the content address of one run configuration:
@@ -371,19 +370,18 @@ func Fingerprint(key string, o core.Options) (string, error) {
 		cfg = config.Baseline()
 	}
 	b, err := json.Marshal(fingerprintable{
-		Version:         FingerprintVersion,
-		Key:             key,
-		Config:          cfg,
-		Workload:        o.Workload,
-		Software:        o.Software,
-		Hardware:        o.Hardware != nil,
-		Throttle:        o.Throttle,
-		PollutionFilter: o.PollutionFilter,
-		PerfectMemory:   o.PerfectMemory,
-		MaxCycles:       o.MaxCycles,
-		WatchdogWindow:  o.WatchdogWindow,
-		Checks:          o.Checks,
-		CheckEvery:      o.CheckEvery,
+		Version:        FingerprintVersion,
+		Key:            key,
+		Config:         cfg,
+		Workload:       o.Workload,
+		Software:       o.Software,
+		Hardware:       o.Hardware != nil,
+		Throttle:       o.Throttle,
+		PerfectMemory:  o.PerfectMemory,
+		MaxCycles:      o.MaxCycles,
+		WatchdogWindow: o.WatchdogWindow,
+		Checks:         o.Checks,
+		CheckEvery:     o.CheckEvery,
 	})
 	if err != nil {
 		return "", fmt.Errorf("store: fingerprint %s: %w", key, err)

@@ -247,7 +247,7 @@ func TestFingerprintStability(t *testing.T) {
 // FingerprintVersion, the baseline machine, or the stream kernel) must
 // update this value.
 func TestFingerprintPinned(t *testing.T) {
-	const want = "e85828f98e8e74f47902b4c089c4a8ce575d9d39e323c0d0dc15d4c9a3d126aa"
+	const want = "783b2fbdeb06a4741c504f0f4e2e2f25a08240e90dab706910019f4b52118f96"
 	if got := mustFingerprint(t, "sw/stream/mt-swp/true", testOptions(t)); got != want {
 		t.Fatalf("fingerprint = %s, want %s: existing store entries would no longer hit", got, want)
 	}

@@ -36,7 +36,7 @@ func TestNonBindingTransformsPreserveDemandStream(t *testing.T) {
 	for _, s := range workload.MemoryIntensive() {
 		want := demandBlocks(s.Program, 3)
 		for _, m := range []Mode{Stride, IP, MTSWP} {
-			out, _, _ := Apply(s, m, Options{})
+			out, _, _ := Apply(s, m)
 			got := demandBlocks(out.Program, 3)
 			if len(got) != len(want) {
 				t.Errorf("%s/%v: demand stream length %d, want %d", s.Name, m, len(got), len(want))
@@ -62,7 +62,7 @@ func TestRegisterTransformPreservesDemandSet(t *testing.T) {
 		for _, b := range demandBlocks(s.Program, 5) {
 			want[b] = true
 		}
-		out, st, _ := Apply(s, Register, Options{})
+		out, st, _ := Apply(s, Register)
 		if st.PipelinedLoads == 0 {
 			continue
 		}

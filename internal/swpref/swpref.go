@@ -57,30 +57,14 @@ func (m Mode) String() string {
 	}
 }
 
-// Options tunes the transforms.
-type Options struct {
-	// Distance is how many iterations ahead stride prefetches target
-	// (default 1).
-	Distance int
-	// WarpAhead is how many warps ahead IP prefetches target (default 1:
-	// the next warp, tid+32 in Fig. 4).
-	WarpAhead int
-	// RegsPerLoad is the register cost of pipelining one load in the
-	// register-prefetching transform (default 2).
-	RegsPerLoad int
-}
-
-func (o *Options) defaults() {
-	if o.Distance == 0 {
-		o.Distance = 1
-	}
-	if o.WarpAhead == 0 {
-		o.WarpAhead = 1
-	}
-	if o.RegsPerLoad == 0 {
-		o.RegsPerLoad = 2
-	}
-}
+// The transforms' fixed parameters: stride prefetches target the next
+// iteration, IP prefetches the next warp (tid+32 in Fig. 4), and
+// register prefetching costs two registers per pipelined load.
+const (
+	iterAhead   = 1
+	warpAhead   = 1
+	regsPerLoad = 2
+)
 
 // Stats reports what a transform did.
 type Stats struct {
@@ -108,8 +92,7 @@ func SourceOf(a *kernel.Access) memreq.Source {
 // Apply returns a transformed copy of the spec. The input spec is never
 // modified. Transforms that do not apply (e.g. stride prefetching on a
 // loop-free kernel) return the spec unchanged — running the "same binary".
-func Apply(s *workload.Spec, mode Mode, o Options) (*workload.Spec, Stats, error) {
-	o.defaults()
+func Apply(s *workload.Spec, mode Mode) (*workload.Spec, Stats, error) {
 	st := Stats{OccupancyBefore: s.MaxBlocksPerCore, OccupancyAfter: s.MaxBlocksPerCore}
 	if mode == None {
 		return s, st, nil
@@ -118,14 +101,14 @@ func Apply(s *workload.Spec, mode Mode, o Options) (*workload.Spec, Stats, error
 	p := s.Program.Clone()
 	switch mode {
 	case Register:
-		applyRegister(&t, p, o, &st)
+		applyRegister(&t, p, &st)
 	case Stride:
-		applyStride(p, o, &st)
+		applyStride(p, &st)
 	case IP:
-		applyIP(p, o, &st)
+		applyIP(p, &st)
 	case MTSWP:
-		applyStride(p, o, &st)
-		applyIP(p, o, &st)
+		applyStride(p, &st)
+		applyIP(p, &st)
 	}
 	if err := p.Validate(); err != nil {
 		// Transforms only rearrange validated programs; a failure here is
@@ -152,8 +135,8 @@ func loopBounds(p *kernel.Program) (start, end int, ok bool) {
 }
 
 // applyStride inserts, at the top of the loop body, one non-binding
-// prefetch per strided in-loop load, targeting Distance iterations ahead.
-func applyStride(p *kernel.Program, o Options, st *Stats) {
+// prefetch per strided in-loop load, targeting the next iteration.
+func applyStride(p *kernel.Program, st *Stats) {
 	start, end, ok := loopBounds(p)
 	if !ok {
 		return // no loop: nothing to prefetch ahead of (Fig. 3)
@@ -165,7 +148,7 @@ func applyStride(p *kernel.Program, o Options, st *Stats) {
 			continue
 		}
 		acc := *in.Mem
-		acc.IterAhead += o.Distance
+		acc.IterAhead += iterAhead
 		pf = append(pf, kernel.Instr{Op: kernel.OpPrefetch, Mem: &acc})
 	}
 	insertInside(p, start, pf)
@@ -173,10 +156,10 @@ func applyStride(p *kernel.Program, o Options, st *Stats) {
 }
 
 // applyIP inserts one prefetch per load, targeting the corresponding
-// thread WarpAhead warps later. For loop kernels the prefetch sits in the
+// thread of the next warp. For loop kernels the prefetch sits in the
 // body (covering the same iteration of the next warp); for straight-line
 // kernels it sits at the top of the kernel, as in Fig. 4a.
-func applyIP(p *kernel.Program, o Options, st *Stats) {
+func applyIP(p *kernel.Program, st *Stats) {
 	start, end, hasLoop := loopBounds(p)
 	lo, hi := 0, len(p.Instrs)
 	if hasLoop {
@@ -189,7 +172,7 @@ func applyIP(p *kernel.Program, o Options, st *Stats) {
 			continue
 		}
 		acc := *in.Mem
-		acc.WarpAhead += o.WarpAhead
+		acc.WarpAhead += warpAhead
 		pf = append(pf, kernel.Instr{Op: kernel.OpPrefetch, Mem: &acc})
 	}
 	insertInside(p, lo, pf)
@@ -204,7 +187,7 @@ func applyIP(p *kernel.Program, o Options, st *Stats) {
 // has had a full iteration to arrive, and the per-warp scoreboard enforces
 // exactly the one-iteration slack. The extra pipeline registers reduce
 // occupancy.
-func applyRegister(s *workload.Spec, p *kernel.Program, o Options, st *Stats) {
+func applyRegister(s *workload.Spec, p *kernel.Program, st *Stats) {
 	start, end, ok := loopBounds(p)
 	if !ok {
 		return // loop-free kernels have no iterations to pipeline
@@ -239,7 +222,7 @@ func applyRegister(s *workload.Spec, p *kernel.Program, o Options, st *Stats) {
 	out = append(out, p.Instrs[end+1:]...)
 	p.Instrs = out
 
-	st.RegistersAdded = st.PipelinedLoads * o.RegsPerLoad
+	st.RegistersAdded = st.PipelinedLoads * regsPerLoad
 	// Occupancy with the fatter register footprint: the register file was
 	// sized to fit the original kernel at its published occupancy.
 	regs := s.RegsPerThread

@@ -37,7 +37,7 @@ func countOps(p *kernel.Program, op kernel.OpClass) int {
 
 func TestNoneIsIdentity(t *testing.T) {
 	s := strideSpec(t)
-	out, st, _ := Apply(s, None, Options{})
+	out, st, _ := Apply(s, None)
 	if out != s {
 		t.Error("None should return the original spec")
 	}
@@ -56,7 +56,7 @@ func TestModeString(t *testing.T) {
 
 func TestStrideTransformInsertsLoopPrefetches(t *testing.T) {
 	s := strideSpec(t)
-	out, st, _ := Apply(s, Stride, Options{})
+	out, st, _ := Apply(s, Stride)
 	if out == s || out.Program == s.Program {
 		t.Fatal("Apply must copy")
 	}
@@ -85,7 +85,7 @@ func TestStrideTransformInsertsLoopPrefetches(t *testing.T) {
 
 func TestStridePrefetchesInsideLoop(t *testing.T) {
 	s := strideSpec(t)
-	out, _, _ := Apply(s, Stride, Options{})
+	out, _, _ := Apply(s, Stride)
 	// The back edge must still reach the prefetches: dynamic prefetch
 	// count = static * trips.
 	c := out.Program.DynamicCounts()
@@ -98,7 +98,7 @@ func TestStridePrefetchesInsideLoop(t *testing.T) {
 
 func TestStrideOnLoopFreeKernelIsNoop(t *testing.T) {
 	s := mpSpec(t)
-	out, st, _ := Apply(s, Stride, Options{})
+	out, st, _ := Apply(s, Stride)
 	if st.PrefetchInstrs != 0 {
 		t.Errorf("stride transform touched a loop-free kernel: %+v", st)
 	}
@@ -109,7 +109,7 @@ func TestStrideOnLoopFreeKernelIsNoop(t *testing.T) {
 
 func TestIPTransformTargetsNextWarp(t *testing.T) {
 	s := mpSpec(t)
-	out, st, _ := Apply(s, IP, Options{})
+	out, st, _ := Apply(s, IP)
 	loads := countOps(s.Program, kernel.OpLoad)
 	if st.PrefetchInstrs != loads {
 		t.Errorf("PrefetchInstrs = %d, want %d", st.PrefetchInstrs, loads)
@@ -128,7 +128,7 @@ func TestIPTransformTargetsNextWarp(t *testing.T) {
 
 func TestIPAddressesMatchNextWarpDemands(t *testing.T) {
 	s := mpSpec(t)
-	out, _, _ := Apply(s, IP, Options{})
+	out, _, _ := Apply(s, IP)
 	var pf, ld *kernel.Access
 	for i := range out.Program.Instrs {
 		in := &out.Program.Instrs[i]
@@ -152,7 +152,7 @@ func TestIPAddressesMatchNextWarpDemands(t *testing.T) {
 
 func TestMTSWPCombinesBoth(t *testing.T) {
 	s := strideSpec(t)
-	out, st, _ := Apply(s, MTSWP, Options{})
+	out, st, _ := Apply(s, MTSWP)
 	loads := countOps(s.Program, kernel.OpLoad)
 	if st.PrefetchInstrs != 2*loads {
 		t.Errorf("PrefetchInstrs = %d, want %d (stride + IP)", st.PrefetchInstrs, 2*loads)
@@ -177,7 +177,7 @@ func TestMTSWPCombinesBoth(t *testing.T) {
 
 func TestRegisterTransformPipelinesAndCostsOccupancy(t *testing.T) {
 	s := strideSpec(t) // monte: maxBlocks 2, 22 regs, 2 loads
-	out, st, _ := Apply(s, Register, Options{})
+	out, st, _ := Apply(s, Register)
 	if st.PipelinedLoads != 2 {
 		t.Fatalf("PipelinedLoads = %d, want 2", st.PipelinedLoads)
 	}
@@ -207,7 +207,7 @@ func TestRegisterTransformPipelinesAndCostsOccupancy(t *testing.T) {
 
 func TestRegisterRefillAfterConsumers(t *testing.T) {
 	s := strideSpec(t)
-	out, _, _ := Apply(s, Register, Options{})
+	out, _, _ := Apply(s, Register)
 	start, end := -1, -1
 	for i := range out.Program.Instrs {
 		if out.Program.Instrs[i].Op == kernel.OpLoopBack {
@@ -236,7 +236,7 @@ func TestRegisterRefillAfterConsumers(t *testing.T) {
 
 func TestRegisterOnLoopFreeKernelIsNoop(t *testing.T) {
 	s := mpSpec(t)
-	out, st, _ := Apply(s, Register, Options{})
+	out, st, _ := Apply(s, Register)
 	if st.PipelinedLoads != 0 || out.MaxBlocksPerCore != s.MaxBlocksPerCore {
 		t.Errorf("register transform touched a loop-free kernel: %+v", st)
 	}
@@ -246,7 +246,7 @@ func TestOccupancyNeverBelowOne(t *testing.T) {
 	s := *strideSpec(t)
 	s.RegsPerThread = 1
 	s.MaxBlocksPerCore = 1
-	out, _, _ := Apply(&s, Register, Options{RegsPerLoad: 100})
+	out, _, _ := Apply(&s, Register)
 	if out.MaxBlocksPerCore != 1 {
 		t.Errorf("occupancy = %d, want floor of 1", out.MaxBlocksPerCore)
 	}
@@ -256,28 +256,17 @@ func TestApplyDoesNotMutateOriginal(t *testing.T) {
 	s := strideSpec(t)
 	before := len(s.Program.Instrs)
 	occBefore := s.MaxBlocksPerCore
-	Apply(s, MTSWP, Options{})
-	Apply(s, Register, Options{})
+	Apply(s, MTSWP)
+	Apply(s, Register)
 	if len(s.Program.Instrs) != before || s.MaxBlocksPerCore != occBefore {
 		t.Fatal("Apply mutated the input spec")
-	}
-}
-
-func TestDistanceOption(t *testing.T) {
-	s := strideSpec(t)
-	out, _, _ := Apply(s, Stride, Options{Distance: 5})
-	for i := range out.Program.Instrs {
-		in := &out.Program.Instrs[i]
-		if in.Op == kernel.OpPrefetch && in.Mem.IterAhead != 5 {
-			t.Errorf("IterAhead = %d, want 5", in.Mem.IterAhead)
-		}
 	}
 }
 
 func TestAllSuiteTransformsValid(t *testing.T) {
 	for _, s := range workload.Specs() {
 		for _, m := range []Mode{Register, Stride, IP, MTSWP} {
-			out, _, _ := Apply(s, m, Options{})
+			out, _, _ := Apply(s, m)
 			if err := out.Program.Validate(); err != nil {
 				t.Errorf("%s/%v: %v", s.Name, m, err)
 			}

@@ -14,3 +14,4 @@ go test -run '^$' -fuzz '^FuzzTransactions$' -fuzztime 15s ./internal/kernel
 go test -run '^$' -fuzz '^FuzzRetireOrder$' -fuzztime 15s ./internal/dram
 go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 15s ./internal/workload
 go test -run '^$' -fuzz '^FuzzRunSpec$' -fuzztime 15s ./internal/core
+go test -run '^$' -fuzz '^FuzzDecodeEntry$' -fuzztime 15s ./internal/store
