@@ -2,39 +2,13 @@ GO ?= go
 
 .PHONY: check build test vet race chaos stats
 
-# The full gate used before committing: vet, build, race-enabled tests
-# (including the scaled-down parallel-harness sweep, see harness_test.go,
-# and the allocation budgets, see alloc_test.go), the fault-injection
-# suite, then 15 s of fuzzing each for the coalescer against its per-lane
-# reference (FuzzTransactions), DRAM retirement against the per-cycle
-# walk (FuzzRetireOrder), the kernel-spec parser (FuzzParseSpec), whole
-# runs of arbitrary specs with the invariant sweep on (FuzzRunSpec) and
-# result-store entry decoding (FuzzDecodeEntry); plain `go test` only
-# replays their seed corpora. It writes no tracked file unless a fuzz
-# target fails, when Go saves the failing input under that package's
-# testdata/fuzz.
+# The full gate used before committing, and the fault-injection suite
+# alone: scripts/check.sh holds the one list of their steps.
 check:
-	$(GO) vet ./...
-	$(GO) build ./...
-	$(GO) test -race ./...
-	$(MAKE) chaos
-	$(GO) test -run '^$$' -fuzz '^FuzzTransactions$$' -fuzztime 15s ./internal/kernel
-	$(GO) test -run '^$$' -fuzz '^FuzzRetireOrder$$' -fuzztime 15s ./internal/dram
-	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 15s ./internal/workload
-	$(GO) test -run '^$$' -fuzz '^FuzzRunSpec$$' -fuzztime 15s ./internal/core
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 15s ./internal/store
+	GO='$(GO)' sh scripts/check.sh
 
-# Fault-injection suite: injected livelocks, dropped completions, and
-# corrupted stride tables must be caught by the watchdog / invariant
-# checker (internal/faults); a poisoned run must degrade to ERR cells
-# without disturbing its siblings (internal/harness); the result store
-# must quarantine corruption, survive torn writes and kill-9, and degrade
-# on a failed commit until one succeeds (internal/store, internal/faults);
-# and a sweep must honour its run deadline and drain gracefully
-# (internal/harness).
 chaos:
-	$(GO) test -timeout 10m -run 'Chaos|Stalled|Dropped|Corrupt|CleanRun|Poisoned|CrashDump|Taxonomy|Store|Torn|Quarantine|Resume|Drain|RunTimeout|Sanitize' \
-		./internal/faults/... ./internal/harness/... ./internal/store/...
+	GO='$(GO)' sh scripts/check.sh chaos
 
 build:
 	$(GO) build ./...

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"mtprefetch/internal/config"
 	"mtprefetch/internal/memreq"
 	"mtprefetch/internal/smcore"
 )
@@ -35,7 +36,7 @@ func (s *Simulator) Diag() DiagSnapshot {
 	for _, c := range s.cores {
 		d.Cores = append(d.Cores, c.Diag())
 	}
-	for ch := 0; ch < s.cfg.DRAMChannels; ch++ {
+	for ch := 0; ch < config.DRAMChannels; ch++ {
 		d.DRAMQueues = append(d.DRAMQueues, s.mem.QueueLen(ch))
 		d.DRAMParked = append(d.DRAMParked, s.mem.ParkedLen(ch))
 	}

@@ -287,18 +287,18 @@ func New(o Options) (*Simulator, error) {
 	s := &Simulator{
 		cfg:  cfg,
 		spec: spec,
-		net:  noc.New(cfg.NOCLatency, cfg.MaxInjectPerCycle()),
+		net:  noc.New(config.NOCLatency, cfg.MaxInjectPerCycle()),
 		mem: dram.New(dram.Config{
-			Channels:   cfg.DRAMChannels,
-			Banks:      cfg.DRAMBanks,
-			RowBytes:   cfg.DRAMRowBytes,
-			BlockBytes: cfg.BlockBytes,
-			QueueSize:  cfg.DRAMQueueSize,
-			TCL:        cfg.DRAMCyclesToCore(cfg.DRAMtCL),
-			TRCD:       cfg.DRAMCyclesToCore(cfg.DRAMtRCD),
-			TRP:        cfg.DRAMCyclesToCore(cfg.DRAMtRP),
-			BusCycles:  cfg.BusCyclesBlock,
-			Overhead:   cfg.DRAMOverhead,
+			Channels:   config.DRAMChannels,
+			Banks:      config.DRAMBanks,
+			RowBytes:   config.DRAMRowBytes,
+			BlockBytes: config.BlockBytes,
+			QueueSize:  config.DRAMQueueSize,
+			TCL:        config.TCL,
+			TRCD:       config.TRCD,
+			TRP:        config.TRP,
+			BusCycles:  config.BusCyclesBlock,
+			Overhead:   config.DRAMOverhead,
 			AgePromote: cfg.DRAMAgePromote,
 		}),
 		disp: &dispatcher{total: spec.Blocks},
@@ -350,7 +350,7 @@ func New(o Options) (*Simulator, error) {
 				EarlyHigh:  cfg.EarlyHighThresh,
 				EarlyLow:   cfg.EarlyLowThresh,
 				MergeHigh:  cfg.MergeHighThresh,
-				InitDegree: cfg.ThrottleInitDegree,
+				InitDegree: config.ThrottleInitDegree,
 			})
 		}
 		c, err := smcore.New(smcore.Options{
@@ -855,7 +855,7 @@ func (s *Simulator) collect() *Result {
 	r.InterCoreMerges = reg.Sum("dram.inter_core_merges")
 	r.MemTransactions = reg.Sum("dram.demands") + reg.Sum("dram.prefetches") +
 		reg.Sum("dram.writebacks")
-	r.BytesTransferred = r.MemTransactions * uint64(s.cfg.BlockBytes)
+	r.BytesTransferred = r.MemTransactions * config.BlockBytes
 	rowHits := reg.Sum("dram.row_hits")
 	r.RowHitRate = stats.Ratio(rowHits,
 		rowHits+reg.Sum("dram.row_misses")+reg.Sum("dram.row_closed"))

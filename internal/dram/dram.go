@@ -28,7 +28,7 @@ import (
 )
 
 // Config is the memory-system geometry with timings already converted to
-// core cycles (see config.DRAMCyclesToCore).
+// core cycles (see config.TCL).
 type Config struct {
 	Channels   int
 	Banks      int // per channel

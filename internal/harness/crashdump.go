@@ -34,7 +34,8 @@ func (r *runner) dump(re *RunError, o core.Options, sim *core.Simulator) string 
 // dir/<sanitised-key>/:
 //
 //	error.txt      the failure message, options fingerprint, and stack
-//	config.json    the machine configuration the run used
+//	config.json    the config.Config the run used (the fixed Table II
+//	               constants are the build's)
 //	metrics.json   a snapshot of the metrics registry (when a simulator
 //	               was built)
 //	livelock.json  the watchdog's machine snapshot (livelock aborts only)

@@ -33,17 +33,17 @@ func init() {
 func runTable2(Config) ([]*stats.Table, error) {
 	c := config.Baseline()
 	t := stats.NewTable("Table II — baseline processor configuration", "parameter", "value")
-	t.AddRow("cores", fmt.Sprintf("%d x %d-wide SIMD", c.NumCores, c.SIMDWidth))
-	t.AddRow("warp size", fmt.Sprint(c.WarpSize))
+	t.AddRow("cores", fmt.Sprintf("%d x %d-wide SIMD", c.NumCores, config.SIMDWidth))
+	t.AddRow("warp size", fmt.Sprint(config.WarpSize))
 	t.AddRow("issue occupancy (ALU/IMUL/FDIV)", fmt.Sprintf("%d/%d/%d cycles per warp-instruction",
-		c.IssueCostALU, c.IssueCostIMul, c.IssueCostFDiv))
-	t.AddRow("core / DRAM clock", fmt.Sprintf("%d / %d MHz", c.CoreClockMHz, c.DRAMClockMHz))
+		config.IssueCostALU, config.IssueCostIMul, config.IssueCostFDiv))
+	t.AddRow("core / DRAM clock", fmt.Sprintf("%d / %d MHz", config.CoreClockMHz, config.DRAMClockMHz))
 	t.AddRow("interconnect", fmt.Sprintf("%d-cycle fixed latency, 1 req per %d cores per cycle",
-		c.NOCLatency, c.NOCCoresPerInject))
+		config.NOCLatency, config.NOCCoresPerInject))
 	t.AddRow("DRAM", fmt.Sprintf("%d channels x %d banks, %dB rows, tCL/tRCD/tRP = %d/%d/%d",
-		c.DRAMChannels, c.DRAMBanks, c.DRAMRowBytes, c.DRAMtCL, c.DRAMtRCD, c.DRAMtRP))
-	t.AddRow("peak bandwidth", fmt.Sprintf("%.1f GB/s", c.BandwidthGBs()))
-	t.AddRow("prefetch cache", fmt.Sprintf("%d KB, %d-way", c.PrefetchCacheBytes/1024, c.PrefetchCacheWays))
+		config.DRAMChannels, config.DRAMBanks, config.DRAMRowBytes, config.DRAMtCL, config.DRAMtRCD, config.DRAMtRP))
+	t.AddRow("peak bandwidth", fmt.Sprintf("%.1f GB/s", config.BandwidthGBs))
+	t.AddRow("prefetch cache", fmt.Sprintf("%d KB, %d-way", c.PrefetchCacheBytes/1024, config.PrefetchCacheWays))
 	t.AddRow("prefetch distance/degree", fmt.Sprintf("%d / %d", prefetch.Distance, prefetch.Degree))
 	t.AddRow("scheduling priority", "demand over prefetch")
 	return []*stats.Table{t}, nil

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"mtprefetch/internal/config"
 	"mtprefetch/internal/core"
 	"mtprefetch/internal/model"
 	"mtprefetch/internal/stats"
@@ -87,7 +88,7 @@ func runMTAML(c Config) ([]*stats.Table, error) {
 	r := newRunner(c)
 	t := stats.NewTable("MTAML classification vs measured MT-SWP outcome",
 		"bench", "warps", "MTAML", "MTAML_pref", "lat", "model says", "measured")
-	issue := r.machine().IssueCostALU
+	issue := config.IssueCostALU
 	specs := suite()
 	type row struct{ base, pf *future }
 	rows := make([]row, len(specs))

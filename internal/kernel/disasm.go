@@ -5,8 +5,9 @@ import (
 	"strings"
 )
 
-// String renders a human-readable disassembly of the program, used by
-// debugging output and the examples. Loop bodies are indented.
+// String renders a human-readable disassembly of the program, as
+// internal/core's ExampleRun_customKernel prints it. Loop bodies are
+// indented.
 func (p *Program) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "kernel %s (regs=%d, arrays=%d, trips=%d)\n",

@@ -111,19 +111,15 @@ type lruEntry[K comparable, V any] struct {
 // building block of every prefetcher here ("both PWS and GS tables use a
 // LRU replacement policy", Section III-B1).
 type table[K comparable, V any] struct {
-	cap       int
-	m         map[K]*lruEntry[K, V]
-	head      *lruEntry[K, V] // most recently used
-	tail      *lruEntry[K, V] // least recently used
-	accesses  uint64
-	evictions uint64
+	cap  int
+	m    map[K]*lruEntry[K, V]
+	head *lruEntry[K, V] // most recently used
+	tail *lruEntry[K, V] // least recently used
 }
 
 func newTable[K comparable, V any](capacity int) *table[K, V] {
 	return &table[K, V]{cap: capacity, m: make(map[K]*lruEntry[K, V], capacity)}
 }
-
-func (t *table[K, V]) len() int { return len(t.m) }
 
 func (t *table[K, V]) unlink(e *lruEntry[K, V]) {
 	if e.prev != nil {
@@ -152,7 +148,6 @@ func (t *table[K, V]) pushFront(e *lruEntry[K, V]) {
 
 // get returns a pointer to the value, touching LRU on hit.
 func (t *table[K, V]) get(k K) (*V, bool) {
-	t.accesses++
 	e, ok := t.m[k]
 	if !ok {
 		return nil, false
@@ -164,7 +159,7 @@ func (t *table[K, V]) get(k K) (*V, bool) {
 	return &e.val, true
 }
 
-// peek returns the value without touching LRU or access counters.
+// peek returns the value without touching LRU.
 func (t *table[K, V]) peek(k K) (*V, bool) {
 	e, ok := t.m[k]
 	if !ok {
@@ -190,7 +185,6 @@ func (t *table[K, V]) put(k K, v V) (*V, *K) {
 		victim := t.tail
 		t.unlink(victim)
 		delete(t.m, victim.key)
-		t.evictions++
 		ev := victim.key
 		evicted = &ev
 	}

@@ -3,6 +3,7 @@ package prefetch
 import (
 	"testing"
 
+	"mtprefetch/internal/config"
 	"mtprefetch/internal/memreq"
 )
 
@@ -192,14 +193,14 @@ func TestStreamDetectsDescending(t *testing.T) {
 func TestStreamWindow(t *testing.T) {
 	// Jumping one block past the window allocates a fresh stream
 	// instead of matching.
-	const jump = (streamWindow + 1) * streamBlock
+	const jump = (streamWindow + 1) * config.BlockBytes
 	if out := trainAddrs(NewStream(StreamOptions{}), 0, 1, 0, jump, 2*jump); len(out) != 0 {
 		t.Errorf("jumps past the window should not train a stream: %v", out)
 	}
 	// Jumps of exactly the window still match and train.
-	const edge = streamWindow * streamBlock
-	if out := trainAddrs(NewStream(StreamOptions{}), 0, 1, 0, edge, 2*edge); len(out) != 1 || out[0] != 2*edge+streamBlock {
-		t.Errorf("jumps at the window edge = %v, want [%d]", out, 2*edge+streamBlock)
+	const edge = streamWindow * config.BlockBytes
+	if out := trainAddrs(NewStream(StreamOptions{}), 0, 1, 0, edge, 2*edge); len(out) != 1 || out[0] != 2*edge+config.BlockBytes {
+		t.Errorf("jumps at the window edge = %v, want [%d]", out, 2*edge+config.BlockBytes)
 	}
 }
 
@@ -329,26 +330,27 @@ func TestLRUTable(t *testing.T) {
 	if v, ok := tab.get(1); !ok || *v != 10 {
 		t.Fatal("get(1) failed")
 	}
-	tab.put(3, 30) // evicts 2 (LRU)
+	if _, ev := tab.put(3, 30); ev == nil || *ev != 2 {
+		t.Errorf("put(3) evicted %v, want the LRU key 2", ev)
+	}
 	if _, ok := tab.get(2); ok {
 		t.Error("LRU entry not evicted")
 	}
 	if _, ok := tab.get(1); !ok {
 		t.Error("recently used entry evicted")
 	}
-	if tab.len() != 2 {
-		t.Errorf("len = %d, want 2", tab.len())
-	}
-	if tab.evictions != 1 {
-		t.Errorf("evictions = %d, want 1", tab.evictions)
+	if len(tab.m) != 2 {
+		t.Errorf("len = %d, want 2", len(tab.m))
 	}
 	// Replacing an existing key must not evict.
-	tab.put(1, 11)
+	if _, ev := tab.put(1, 11); ev != nil {
+		t.Errorf("replacement evicted %d", *ev)
+	}
 	if v, _ := tab.get(1); *v != 11 {
 		t.Error("put did not replace value")
 	}
-	if tab.evictions != 1 {
-		t.Error("replacement counted as eviction")
+	if len(tab.m) != 2 {
+		t.Errorf("len after replacement = %d, want 2", len(tab.m))
 	}
 }
 

@@ -1,12 +1,14 @@
 package prefetch
 
-import "mtprefetch/internal/memreq"
+import (
+	"mtprefetch/internal/config"
+	"mtprefetch/internal/memreq"
+)
 
-// Stream prefetcher geometry: Table V's 512 entries, trained on 64-byte
+// Stream prefetcher geometry: Table V's 512 entries, trained on cache
 // blocks within a 16-block matching window.
 const (
 	StreamEntries = 512
-	streamBlock   = 64 // bytes per block
 	streamWindow  = 16 // max block distance for an access to match a stream
 )
 
@@ -42,7 +44,7 @@ func NewStream(o StreamOptions) *Stream {
 // Observe implements Prefetcher.
 func (p *Stream) Observe(t Train, out []Candidate) []Candidate {
 	p.stamp++
-	block := t.Addr / streamBlock
+	block := t.Addr / config.BlockBytes
 	// Find the closest matching stream.
 	best, bestDist := -1, uint64(streamWindow+1)
 	for i := range p.entries {
@@ -103,5 +105,5 @@ func (p *Stream) Observe(t Train, out []Candidate) []Candidate {
 	if e.conf < 1 {
 		return out
 	}
-	return genStride(memreq.SrcStream, t.Addr, dir*streamBlock, Distance, Degree, t.Footprint, out)
+	return genStride(memreq.SrcStream, t.Addr, dir*config.BlockBytes, Distance, Degree, t.Footprint, out)
 }

@@ -237,7 +237,7 @@ func New(o Options) (*Core, error) {
 		blocks:     make([]blockState, maxBlocks),
 		src:        o.Blocks,
 		MRQ:        mrq.New(o.Config.MRQSize),
-		PFCache:    cache.New(o.Config.PrefetchCacheBytes, o.Config.PrefetchCacheWays, o.Config.BlockBytes),
+		PFCache:    cache.New(o.Config.PrefetchCacheBytes, config.PrefetchCacheWays, config.BlockBytes),
 		HWP:        o.HWP,
 		Throt:      o.Throttle,
 		perfectMem: o.PerfectMem,
@@ -776,7 +776,7 @@ func (c *Core) accessFits(slot int) bool {
 	if in.Op != kernel.OpLoad && in.Op != kernel.OpStore || c.perfectMem {
 		return true
 	}
-	txs := in.Mem.Transactions(int(c.wGwid[slot]), c.cfg.WarpSize, int(c.wIter[slot]), c.cfg.BlockBytes, nil)
+	txs := in.Mem.Transactions(int(c.wGwid[slot]), config.WarpSize, int(c.wIter[slot]), config.BlockBytes, nil)
 	room := c.demandCap() - c.MRQ.Outstanding()
 	if len(txs) <= room {
 		return true
@@ -967,16 +967,16 @@ func (c *Core) tryIssue(cycle uint64, slot int) (bool, error) {
 	}
 	switch in.Op {
 	case kernel.OpALU:
-		c.issueOccupy(cycle, c.cfg.IssueCostALU)
+		c.issueOccupy(cycle, config.IssueCostALU)
 		c.stats.ComputeInstrs++
 	case kernel.OpIMul:
-		c.issueOccupy(cycle, c.cfg.IssueCostIMul)
+		c.issueOccupy(cycle, config.IssueCostIMul)
 		c.stats.ComputeInstrs++
 	case kernel.OpFDiv:
-		c.issueOccupy(cycle, c.cfg.IssueCostFDiv)
+		c.issueOccupy(cycle, config.IssueCostFDiv)
 		c.stats.ComputeInstrs++
 	case kernel.OpLoopBack:
-		c.issueOccupy(cycle, c.cfg.IssueCostALU)
+		c.issueOccupy(cycle, config.IssueCostALU)
 	case kernel.OpLoad, kernel.OpStore:
 		issued, err := c.issueMemory(cycle, slot, in)
 		if err != nil {
@@ -1030,7 +1030,7 @@ func (c *Core) transactions(slot int, in *kernel.Instr) []uint64 {
 	if m.valid && m.pc == pc && m.iter == iter {
 		return m.txs
 	}
-	m.txs = in.Mem.Transactions(int(c.wGwid[slot]), c.cfg.WarpSize, int(iter), c.cfg.BlockBytes, m.txs[:0])
+	m.txs = in.Mem.Transactions(int(c.wGwid[slot]), config.WarpSize, int(iter), config.BlockBytes, m.txs[:0])
 	m.pc, m.iter, m.valid, m.missOK = pc, iter, true, false
 	return m.txs
 }
@@ -1063,23 +1063,23 @@ func (c *Core) issueMemory(cycle uint64, slot int, in *kernel.Instr) (bool, erro
 	gwid, pc := int(c.wGwid[slot]), int(c.wPC[slot])
 	if in.Op == kernel.OpStore {
 		if c.perfectMem {
-			c.issueOccupy(cycle, c.cfg.IssueCostMem)
+			c.issueOccupy(cycle, config.IssueCostMem)
 			return true, nil
 		}
 		if c.MRQ.Outstanding()+len(txs) > c.demandCap() {
 			c.parkMRQWarp(slot, len(txs))
 			return false, nil
 		}
-		c.issueOccupy(cycle, c.cfg.IssueCostMem)
+		c.issueOccupy(cycle, config.IssueCostMem)
 		for _, addr := range txs {
-			c.MRQ.Add(c.pool.Get(addr, c.cfg.BlockBytes, memreq.Writeback, c.id, gwid, pc, cycle))
+			c.MRQ.Add(c.pool.Get(addr, config.BlockBytes, memreq.Writeback, c.id, gwid, pc, cycle))
 		}
 		return true, nil
 	}
 	// Demand load.
 	if c.perfectMem {
 		c.stats.DemandTransactions += uint64(len(txs))
-		c.issueOccupy(cycle, c.cfg.IssueCostMem)
+		c.issueOccupy(cycle, config.IssueCostMem)
 		return true, nil
 	}
 	// Capacity check. Fast paths: a totally full queue always stalls, and
@@ -1103,14 +1103,14 @@ func (c *Core) issueMemory(cycle uint64, slot int, in *kernel.Instr) (bool, erro
 		}
 	}
 	c.stats.DemandTransactions += uint64(len(txs))
-	c.issueOccupy(cycle, c.cfg.IssueCostMem)
+	c.issueOccupy(cycle, config.IssueCostMem)
 	cacheLive := !c.PFCache.Empty()
 	for _, addr := range txs {
 		if cacheLive && c.PFCache.Lookup(addr) {
 			c.stats.PFCacheHitTransactions++
 			continue
 		}
-		r := c.pool.Get(addr, c.cfg.BlockBytes, memreq.Demand, c.id, gwid, pc, cycle)
+		r := c.pool.Get(addr, config.BlockBytes, memreq.Demand, c.id, gwid, pc, cycle)
 		r.Waiters = append(r.Waiters, memreq.Waiter{Warp: int32(slot), Reg: uint8(in.Dst)})
 		c.startSpan(r, cycle)
 		switch c.MRQ.Add(r) {
@@ -1169,7 +1169,7 @@ func (c *Core) trainHWP(cycle uint64, slot int, txs []uint64) {
 // tag distinguishes the stride-style and inter-warp (IP-style) software
 // schemes so attribution can separate their outcomes.
 func (c *Core) issueSWPrefetch(cycle uint64, slot int, in *kernel.Instr) {
-	c.issueOccupy(cycle, c.cfg.IssueCostMem)
+	c.issueOccupy(cycle, config.IssueCostMem)
 	if c.perfectMem {
 		return
 	}
@@ -1196,7 +1196,7 @@ func (c *Core) issuePrefetches(cycle uint64, gwid, pc int, candidates []prefetch
 // provenance stamped with the generating source, the training PC, the
 // triggering warp, and the throttle degree at issue.
 func (c *Core) issuePrefetch(cycle uint64, gwid, pc int, src memreq.Source, addr uint64) {
-	addr = memreq.BlockAlign(addr, c.cfg.BlockBytes)
+	addr = memreq.BlockAlign(addr, config.BlockBytes)
 	c.stats.PrefetchesGenerated++
 	var prov memreq.Provenance
 	if c.pf != nil || c.spans != nil {
@@ -1224,7 +1224,7 @@ func (c *Core) issuePrefetch(cycle uint64, gwid, pc int, src memreq.Source, addr
 		c.pf.Record(prov, memreq.OutDroppedInCache)
 		return
 	}
-	r := c.pool.Get(addr, c.cfg.BlockBytes, memreq.Prefetch, c.id, gwid, pc, cycle)
+	r := c.pool.Get(addr, config.BlockBytes, memreq.Prefetch, c.id, gwid, pc, cycle)
 	r.Prov = prov
 	c.startSpan(r, cycle)
 	switch c.MRQ.Add(r) {

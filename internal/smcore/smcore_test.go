@@ -400,10 +400,9 @@ func TestRelaunchedWarpRecoalesces(t *testing.T) {
 		}
 		got[r.WarpID][r.Addr] = true
 	})
-	cfg := config.Baseline()
 	acc := spec.Program.Instrs[0].Mem
 	for gwid := 0; gwid < spec.TotalWarps; gwid++ {
-		want := acc.Transactions(gwid, cfg.WarpSize, 0, cfg.BlockBytes, nil)
+		want := acc.Transactions(gwid, config.WarpSize, 0, config.BlockBytes, nil)
 		if len(got[gwid]) != len(want) {
 			t.Errorf("warp %d requested %d blocks, want %d", gwid, len(got[gwid]), len(want))
 		}

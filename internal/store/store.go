@@ -50,7 +50,9 @@ const (
 	// FingerprintVersion is folded into every fingerprint; bumping it
 	// invalidates the whole store when the meaning of a fingerprint
 	// changes (new Options fields that affect results, Result schema
-	// changes).
+	// changes). A change to the machine — a config.Config field or a
+	// Table II constant — needs no bump: the serialisation carries both,
+	// so the fingerprints move on their own.
 	FingerprintVersion = 1
 
 	// header is the magic leading every entry file.
@@ -337,14 +339,16 @@ func validFingerprint(fp string) bool {
 }
 
 // fingerprintable is the canonical serialisation fingerprints hash:
-// everything that determines a run's Result, in fixed field order.
-// NoCycleSkip, Obs, and Ctx are deliberately absent — the byte-identity
-// machinery guarantees they cannot change results — and
+// everything that determines a run's Result, in fixed field order — the
+// fixed Table II machine (config.Machine) beside the Config a run may
+// vary. NoCycleSkip, Obs, and Ctx are deliberately absent — the
+// byte-identity machinery guarantees they cannot change results — and
 // the Hardware factory is represented by the memo key, which encodes
 // the prefetcher's name and parameters by construction.
 type fingerprintable struct {
 	Version        int            `json:"version"`
 	Key            string         `json:"key"`
+	Machine        string         `json:"machine"`
 	Config         *config.Config `json:"config"`
 	Workload       *workload.Spec `json:"workload"`
 	Software       swpref.Mode    `json:"software"`
@@ -359,7 +363,7 @@ type fingerprintable struct {
 
 // Fingerprint computes the content address of one run configuration:
 // SHA-256 over the versioned canonical serialisation of the memo key,
-// the machine config, the (scaled) workload — including its full
+// the fixed machine, the run's config, the (scaled) workload — including its full
 // kernel program, so a kernel change invalidates stale entries — and
 // every Options field that can influence the Result. It is stable
 // across processes and runs; two configurations collide only if they
@@ -372,6 +376,7 @@ func Fingerprint(key string, o core.Options) (string, error) {
 	b, err := json.Marshal(fingerprintable{
 		Version:        FingerprintVersion,
 		Key:            key,
+		Machine:        config.Machine(),
 		Config:         cfg,
 		Workload:       o.Workload,
 		Software:       o.Software,

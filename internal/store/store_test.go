@@ -247,7 +247,7 @@ func TestFingerprintStability(t *testing.T) {
 // FingerprintVersion, the baseline machine, or the stream kernel) must
 // update this value.
 func TestFingerprintPinned(t *testing.T) {
-	const want = "783b2fbdeb06a4741c504f0f4e2e2f25a08240e90dab706910019f4b52118f96"
+	const want = "e3ced32136e4c013d62f7f04e7c5df565a9bec26dfc2f3b556860e804e3142de"
 	if got := mustFingerprint(t, "sw/stream/mt-swp/true", testOptions(t)); got != want {
 		t.Fatalf("fingerprint = %s, want %s: existing store entries would no longer hit", got, want)
 	}
