@@ -51,7 +51,7 @@ type allocConfig struct {
 // merge-path, uncoalesced), with and without observability, so the
 // budgets pin the allocation floor of each traffic shape.
 func allocConfigs() []allocConfig {
-	obsCfg := &obs.Config{CPIStack: true, CPIEpoch: 1 << 40}
+	obsCfg := &obs.Config{SampleEvery: 1 << 40, CPIStack: true}
 	var cs []allocConfig
 	for _, name := range []string{"black", "stream", "bfs"} {
 		cs = append(cs,

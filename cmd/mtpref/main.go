@@ -17,12 +17,15 @@
 //	                least 1 (default GOMAXPROCS; -j 1 is strictly sequential,
 //	                and any setting produces byte-identical tables)
 //	-csv DIR        additionally write each table as <DIR>/<exp>-<n>.csv
-//	-metrics FILE   write per-epoch time series as JSONL (one line per run per epoch)
+//	-metrics FILE   write per-epoch time series as JSONL (one "epoch" line per
+//	                run per epoch)
 //	-trace FILE     write a Chrome trace-event JSON (load in Perfetto / chrome://tracing)
 //	-pfreport FILE  write per-run prefetch attribution (per-source/per-PC
 //	                outcome counts) as JSONL
 //	-cpistack FILE  write per-run CPI stacks (cycle accounting: where every
-//	                core-cycle went) and latency-tolerance snapshots as JSONL
+//	                core-cycle went) as JSONL. Each epoch also adds the
+//	                per-core bucket counts to -trace and a latency-tolerance
+//	                snapshot to -http's /tolerance
 //	-spans FILE     write request-level span records (a deterministic sample
 //	                of memory requests with per-stage latency decomposition:
 //	                MRQ wait, NoC transit, DRAM queueing and service) as
@@ -40,8 +43,8 @@
 //	-http-snapshots N
 //	                keep the metrics snapshots of the last N finished runs
 //	                on the debug server, not negative (default 32)
-//	-sample N       epoch length in cycles for -metrics sampling and
-//	                -cpistack epochs, at least 1 (default 10000)
+//	-sample N       epoch length in cycles, at least 1 (default 10000): the
+//	                one period of -metrics samples and -cpistack epochs
 //	-crashdir DIR   write a per-run crash-dump bundle for every failed simulation
 //	-noskip         visit every cycle instead of event-driven skipping (slower;
 //	                output is byte-identical either way —
@@ -187,7 +190,7 @@ func defineFlags(fs *flag.FlagSet) *cliFlags {
 	fs.StringVar(&c.metricsPath, "metrics", "", "JSONL file for per-epoch metric samples")
 	fs.StringVar(&c.tracePath, "trace", "", "Chrome trace-event JSON file")
 	fs.StringVar(&c.pfPath, "pfreport", "", "JSONL file for per-run prefetch attribution (see cmd/mtstat)")
-	fs.StringVar(&c.cpiPath, "cpistack", "", "JSONL file for per-run CPI stacks and latency tolerance (see cmd/mtstat)")
+	fs.StringVar(&c.cpiPath, "cpistack", "", "JSONL file for per-run CPI stacks (see cmd/mtstat)")
 	fs.StringVar(&c.spanPath, "spans", "", "JSONL file for per-run request span records (see cmd/mtstat)")
 	fs.Uint64Var(&c.spanEvery, "span-every", obs.DefaultSpanEvery, "span sampling divisor: one in N eligible requests is sampled (at least 1)")
 	fs.StringVar(&c.httpAddr, "http", "", "address for the live-introspection debug server (e.g. :6060)")

@@ -10,7 +10,7 @@ import (
 // panics; it exits 0 or 1, and on 1 it says why in a message starting
 // "mtstat:".
 func FuzzMtstat(f *testing.F) {
-	for _, kind := range []string{"pfreport", "pfsummary", "cpistack", "span"} {
+	for _, kind := range []string{"pfreport", "pfsummary", "cpistack", "span", "epoch"} {
 		f.Add([]byte(firstRecord(f, kind)))
 	}
 	f.Add([]byte("\n"))

@@ -15,7 +15,8 @@
 //	          cycles went (MRQ, request NoC, DRAM queue and service,
 //	          response NoC)
 //
-// Metrics lines and record kinds no section reads are skipped.
+// The -metrics stream's "epoch" lines, and any record kind no section
+// reads, are skipped.
 //
 // Usage:
 //

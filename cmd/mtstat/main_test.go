@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -28,29 +29,24 @@ const pfJSONL = `{"record":"pfreport","run":"hw/a/stride/true","source":"stride-
 {"record":"epoch","run":"hw/b/pws+ip/true","cycle":512}
 `
 
-// cpiJSONL covers a two-core and a one-core run, with the epoch,
-// tolerance and summary records a real stream interleaves. Run a totals
-// 2000 cycles: 1000 issued (50.0%), 400 scoreboard (20.0%), 300
-// mrq_full (15.0%), 200 idle (10.0%), 100 drain (5.0%); run b is 100%
-// issued.
-const cpiJSONL = `{"record":"cpiepoch","run":"hw/a/stride/true","cycle":512,"issued":100,"idle":0,"scoreboard":28,"mrq_full":0,"throttled":0,"drain":0}
-{"record":"cpitol","run":"hw/a/stride/true","cycle":512,"core":0,"ready_warps":3,"active_warps":5,"live_warps":8,"mrq_outstanding":2,"mrq_free":6,"oldest_fill_age":40}
-{"record":"cpistack","run":"hw/a/stride/true","core":0,"cycles":1000,"issued":600,"idle":100,"scoreboard":200,"mrq_full":100,"throttled":0,"drain":0}
+// cpiJSONL covers a two-core and a one-core run, with an epoch line no
+// section reads. Run a totals 2000 cycles: 1000 issued (50.0%), 400
+// scoreboard (20.0%), 300 mrq_full (15.0%), 200 idle (10.0%), 100 drain
+// (5.0%); run b is 100% issued.
+const cpiJSONL = `{"record":"cpistack","run":"hw/a/stride/true","core":0,"cycles":1000,"issued":600,"idle":100,"scoreboard":200,"mrq_full":100,"throttled":0,"drain":0}
 {"record":"cpistack","run":"hw/a/stride/true","core":1,"cycles":1000,"issued":400,"idle":100,"scoreboard":200,"mrq_full":200,"throttled":0,"drain":100}
-{"record":"cpisummary","run":"hw/a/stride/true","cores":2,"cycles":2000,"issued":1000,"idle":200,"scoreboard":400,"mrq_full":300,"throttled":0,"drain":100}
+{"record":"epoch","run":"hw/a/stride/true","cycle":512,"ipc":0.5}
 {"record":"cpistack","run":"hw/b/none/false","core":0,"cycles":500,"issued":500,"idle":0,"scoreboard":0,"mrq_full":0,"throttled":0,"drain":0}
-{"record":"cpisummary","run":"hw/b/none/false","cores":1,"cycles":500,"issued":500,"idle":0,"scoreboard":0,"mrq_full":0,"throttled":0,"drain":0}
 `
 
-// spanJSONL covers two runs. Source "none" fills twice with 100 and 300
-// end-to-end cycles, 200 of them in DRAM service (50.0%), and merges
-// once; "stride-rpt" fills once and is rejected once. The spansummary
-// trailer is not read: percentiles rebuilt from the spans aggregate
-// exactly across runs, summaries do not.
+// spanJSONL covers two runs, with an epoch line no section reads.
+// Source "none" fills twice with 100 and 300 end-to-end cycles, 200 of
+// them in DRAM service (50.0%), and merges once; "stride-rpt" fills once
+// and is rejected once.
 const spanJSONL = `{"record":"span","run":"hw/a/stride/true","id":1,"core":0,"warp":0,"pc":4,"kind":"load","source":"none","terminal":"fill","issue":10,"mrq":10,"noc_req":10,"dram_queue":10,"dram_service":60,"noc_resp":10,"total":100}
 {"record":"span","run":"hw/a/stride/true","id":2,"core":0,"warp":1,"pc":4,"kind":"prefetch","source":"stride-rpt","terminal":"mrq_rejected","issue":12,"mrq":0,"noc_req":0,"dram_queue":0,"dram_service":0,"noc_resp":0,"total":0}
 {"record":"span","run":"hw/a/stride/true","id":3,"core":1,"warp":2,"pc":8,"kind":"prefetch","source":"stride-rpt","terminal":"fill","issue":20,"mrq":40,"noc_req":10,"dram_queue":20,"dram_service":20,"noc_resp":10,"total":100}
-{"record":"spansummary","run":"hw/a/stride/true","source":"none","fills":1,"mrq_merged":0,"mrq_rejected":0,"dropped":0,"mrq":10,"noc_req":10,"dram_queue":10,"dram_service":60,"noc_resp":10,"total":100,"p50":100,"p95":100,"p99":100}
+{"record":"epoch","run":"hw/a/stride/true","cycle":512,"ipc":0.5}
 {"record":"span","run":"hw/b/none/false","id":4,"core":0,"warp":0,"pc":4,"kind":"load","source":"none","terminal":"fill","issue":5,"mrq":30,"noc_req":30,"dram_queue":70,"dram_service":140,"noc_resp":30,"total":300}
 {"record":"span","run":"hw/b/none/false","id":5,"core":0,"warp":3,"pc":4,"kind":"load","source":"none","terminal":"mrq_merged","issue":6,"mrq":0,"noc_req":0,"dram_queue":0,"dram_service":0,"noc_resp":0,"total":0}
 `
@@ -302,19 +298,16 @@ func TestEmptyInput(t *testing.T) {
 			wantEmpty(t, in)
 		}
 	})
-	// Each stream's other record kinds, and metrics lines, print
-	// nothing; they change nothing beside the stream's own records.
-	for _, s := range []struct{ name, others, records string }{
-		{"pfreport", `{"record":"epoch","run":"x","cycle":1}` + "\n" +
-			`{"run":"x","cycle":10000,"ipc":0.5}` + "\n", pfJSONL},
-		{"cpistack", `{"record":"cpiepoch","run":"x","cycle":1}` + "\n" +
-			`{"record":"cpitol","run":"x","cycle":1,"core":0}` + "\n" +
-			`{"record":"cpisummary","run":"x","cores":1,"cycles":1,"issued":1}` + "\n", cpiJSONL},
-		{"spans", `{"record":"spansummary","run":"x","source":"none"}` + "\n", spanJSONL},
+	// Metrics lines, the epoch records and the untagged lines of older
+	// files, print nothing; they change nothing beside a stream's own
+	// records.
+	others := `{"record":"epoch","run":"x","cycle":1}` + "\n" + `{"run":"x","cycle":10000,"ipc":0.5}` + "\n"
+	for _, s := range []struct{ name, records string }{
+		{"pfreport", pfJSONL}, {"cpistack", cpiJSONL}, {"spans", spanJSONL},
 	} {
 		t.Run(s.name, func(t *testing.T) {
-			wantEmpty(t, s.others)
-			if got, want := mustRender(t, s.others+s.records), mustRender(t, s.records); got != want {
+			wantEmpty(t, others)
+			if got, want := mustRender(t, others+s.records), mustRender(t, s.records); got != want {
 				t.Errorf("other record kinds changed the output:\n%s\nwant:\n%s", got, want)
 			}
 		})
@@ -499,15 +492,18 @@ func TestUsageErrors(t *testing.T) {
 var update = flag.Bool("update", false, "rewrite ci/*-gstable.golden from this run")
 
 // TestGSTableGolden runs the GS-table sweep once in-process, as
-// `mtpref -waves 1 -pfreport F -cpistack F -spans F run gstable` would,
-// renders each stream alone and diffs it against its golden:
+// `mtpref -waves 1 -metrics F -pfreport F -cpistack F -spans F run
+// gstable` would. Every line of the four streams must carry a record
+// kind and a run key, and the kind must be one a section reads or the
+// metrics stream's epoch, so no stream grows records without a reader.
+// Each read stream is then rendered alone and diffed against its golden:
 // ci/pfstat-gstable.golden (rendered with -detail),
 // ci/cpistat-gstable.golden and ci/spanstat-gstable.golden. After a
 // deliberate output change, rerun with -update and review the golden
 // diffs.
 func TestGSTableGolden(t *testing.T) {
-	var pf, cpi, spans bytes.Buffer
-	sink, err := obs.NewSink(nil, nil, &pf, &cpi, &spans, obs.Config{SampleEvery: 10_000})
+	var metrics, pf, cpi, spans bytes.Buffer
+	sink, err := obs.NewSink(&metrics, nil, &pf, &cpi, &spans, obs.Config{SampleEvery: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,6 +513,25 @@ func TestGSTableGolden(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
+	t.Run("tagged", func(t *testing.T) {
+		kinds := map[string]bool{"pfreport": true, "pfsummary": true, "cpistack": true, "span": true, "epoch": true}
+		for name, stream := range map[string]*bytes.Buffer{"metrics": &metrics, "pfreport": &pf, "cpistack": &cpi, "spans": &spans} {
+			lines := bytes.Split(bytes.TrimSuffix(stream.Bytes(), []byte("\n")), []byte("\n"))
+			if len(lines) == 0 || len(lines[0]) == 0 {
+				t.Errorf("%s stream is empty", name)
+				continue
+			}
+			for _, l := range lines {
+				var probe struct{ Record, Run string }
+				if err := json.Unmarshal(l, &probe); err != nil {
+					t.Fatalf("%s: %v: %s", name, err, l)
+				}
+				if probe.Run == "" || !kinds[probe.Record] {
+					t.Fatalf("%s line without a run key or with a record kind mtstat does not read: %s", name, l)
+				}
+			}
+		}
+	})
 	for _, g := range []struct {
 		name, golden string
 		stream       *bytes.Buffer

@@ -487,14 +487,15 @@ func (s *Simulator) Run() (*Result, error) {
 		// 5. Cores inject MRQ traffic, round-robin, up to the NOC limit.
 		s.inject(cyc)
 
-		// 6. Epoch sampling (one comparison per cycle when enabled), for
-		// both the metrics sampler and the CPI-stack epoch series.
-		if s.sampler != nil {
+		// 6. Epoch close (one comparison per cycle when enabled). The
+		// sampler is the run's only epoch clock: the CPI stack closes its
+		// epochs on the sampler's ticks.
+		if s.sampler != nil && cyc >= s.sampler.NextTick() {
 			s.sampler.Tick(cyc)
-		}
-		if s.cpi != nil && cyc >= s.cpi.NextTick() {
-			s.account(cyc + 1)
-			s.cpi.CloseEpoch(cyc, s.tolerances(cyc), s.tracer)
+			if s.cpi != nil {
+				s.account(cyc + 1)
+				s.cpi.CloseEpoch(cyc, s.tolerances(cyc), s.tracer)
+			}
 		}
 
 		// 7. Robustness: chaos run faults, the cancellation poll, the
@@ -711,9 +712,6 @@ func (s *Simulator) nextEventCycle(cyc uint64) uint64 {
 	if t := s.sampler.NextTick(); t < next {
 		next = t
 	}
-	if t := s.cpi.NextTick(); t < next {
-		next = t
-	}
 	if s.checkEvery != 0 && s.nextCheck < next {
 		next = s.nextCheck
 	}
@@ -809,9 +807,9 @@ func (s *Simulator) checkPFConservation() error {
 }
 
 func (s *Simulator) collect() *Result {
-	s.sampler.Finish(s.cycle)
-	if s.cpi != nil {
-		s.cpi.Finish(s.cycle, s.tolerances(s.cycle), s.tracer)
+	// The final partial epoch closes on the same clock.
+	if s.sampler.Finish(s.cycle) && s.cpi != nil {
+		s.cpi.CloseEpoch(s.cycle, s.tolerances(s.cycle), s.tracer)
 	}
 	if s.pfrep != nil {
 		// Close the attribution ledger: still-resident unused lines get

@@ -28,7 +28,7 @@ func runStreams(t *testing.T, o Options, noskip, spans bool) (*Result, map[strin
 	oo := o
 	oo.NoCycleSkip = noskip
 	oo.Obs = obs.New(obs.Config{SampleEvery: 512, TraceCapacity: 1 << 14,
-		PFReport: true, CPIStack: true, CPIEpoch: 512,
+		PFReport: true, CPIStack: true,
 		Spans: spans, SpanEvery: 8})
 	s, err := New(oo)
 	if err != nil {

@@ -55,6 +55,21 @@ type runState struct {
 	snap    []obs.SnapshotEntry // non-nil only for recent finished runs
 	cpi     *obs.CPIStack       // live cycle accounting while running
 	spans   *obs.SpanSet        // live span aggregation while running
+
+	// A finished run keeps only what /tolerance and /spans print for it:
+	// RunFinished takes its last tolerance snapshot and renders its
+	// waterfall, then drops cpi and spans, so a sweep does not hold
+	// every span record it has sampled until it exits.
+	tol       *tolRun
+	waterfall []byte
+}
+
+// tolRun is one run's /tolerance entry.
+type tolRun struct {
+	Key    string          `json:"key"`
+	Status string          `json:"status"`
+	Cycle  uint64          `json:"cycle"`
+	Cores  []obs.Tolerance `json:"cores"`
 }
 
 // DebugServer is the optional live-introspection HTTP server. A nil
@@ -225,7 +240,8 @@ func (d *DebugServer) RunCached(key string) {
 
 // RunFinished publishes a run's completion, its error (nil on success),
 // and its frozen end-of-run registry snapshot (may be nil, e.g. after a
-// panic).
+// panic). It drops the run's live CPIStack and SpanSet and keeps only
+// what /tolerance and /spans print for it.
 func (d *DebugServer) RunFinished(key string, snap []obs.SnapshotEntry, err error) {
 	if d == nil {
 		return
@@ -249,6 +265,17 @@ func (d *DebugServer) RunFinished(key string, snap []obs.SnapshotEntry, err erro
 	} else {
 		st.Status = "done"
 		d.done++
+	}
+	if st.cpi != nil {
+		cyc, tol := st.cpi.Tolerances()
+		st.tol = &tolRun{Key: key, Status: st.Status, Cycle: cyc, Cores: tol}
+		st.cpi = nil
+	}
+	if st.spans != nil {
+		var b bytes.Buffer
+		writeWaterfall(&b, key, st.Status, st.spans)
+		st.waterfall = b.Bytes()
+		st.spans = nil
 	}
 	if snap != nil && d.keep > 0 {
 		st.snap = snap
@@ -391,21 +418,16 @@ func (d *DebugServer) serveStore(w http.ResponseWriter, _ *http.Request) {
 // run that attached live cycle accounting (RunLive), in submission
 // order. Finished runs keep their final snapshot.
 func (d *DebugServer) serveTolerance(w http.ResponseWriter, _ *http.Request) {
-	type tolRun struct {
-		Key    string          `json:"key"`
-		Status string          `json:"status"`
-		Cycle  uint64          `json:"cycle"`
-		Cores  []obs.Tolerance `json:"cores"`
-	}
 	d.mu.Lock()
 	var runs []tolRun
 	for _, k := range d.order {
-		st := d.runs[k]
-		if st.cpi == nil {
-			continue
+		switch st := d.runs[k]; {
+		case st.cpi != nil:
+			cyc, tol := st.cpi.Tolerances()
+			runs = append(runs, tolRun{Key: k, Status: st.Status, Cycle: cyc, Cores: tol})
+		case st.tol != nil:
+			runs = append(runs, *st.tol)
 		}
-		cyc, tol := st.cpi.Tolerances()
-		runs = append(runs, tolRun{Key: k, Status: st.Status, Cycle: cyc, Cores: tol})
 	}
 	d.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
@@ -423,13 +445,14 @@ func (d *DebugServer) serveTolerance(w http.ResponseWriter, _ *http.Request) {
 func (d *DebugServer) serveSpans(w http.ResponseWriter, _ *http.Request) {
 	type spanRun struct {
 		key, status string
-		spans       *obs.SpanSet
+		spans       *obs.SpanSet // nil once the run finished
+		waterfall   []byte       // the finished run's rendering
 	}
 	d.mu.Lock()
 	var runs []spanRun
 	for _, k := range d.order {
-		if st := d.runs[k]; st.spans != nil {
-			runs = append(runs, spanRun{k, st.Status, st.spans})
+		if st := d.runs[k]; st.spans != nil || st.waterfall != nil {
+			runs = append(runs, spanRun{k, st.Status, st.spans, st.waterfall})
 		}
 	}
 	d.mu.Unlock()
@@ -440,13 +463,22 @@ func (d *DebugServer) serveSpans(w http.ResponseWriter, _ *http.Request) {
 	// it.
 	var b bytes.Buffer
 	for _, r := range runs {
-		fmt.Fprintf(&b, "%s (%s): %d/%d spans finished\n", r.key, r.status,
-			r.spans.Finished(), r.spans.Started())
-		r.spans.WriteTable(&b) //nolint:errcheck // a bytes.Buffer write cannot fail
-		fmt.Fprintln(&b)
+		if r.spans == nil {
+			b.Write(r.waterfall)
+			continue
+		}
+		writeWaterfall(&b, r.key, r.status, r.spans)
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Write(b.Bytes()) //nolint:errcheck // client went away
+}
+
+// writeWaterfall renders one run's /spans entry: a header line with its
+// span counts, its per-source waterfall, and a blank line.
+func writeWaterfall(b *bytes.Buffer, key, status string, ss *obs.SpanSet) {
+	fmt.Fprintf(b, "%s (%s): %d/%d spans finished\n", key, status, ss.Finished(), ss.Started())
+	ss.WriteTable(b) //nolint:errcheck // a bytes.Buffer write cannot fail
+	fmt.Fprintln(b)
 }
 
 // promName sanitises a registry metric name ("smcore.demand_latency")

@@ -277,7 +277,7 @@ func TestDebugServerTolerance(t *testing.T) {
 
 	d.RunStarted("plain")
 	d.RunStarted("live")
-	cpi := obs.NewCPIStack(100)
+	cpi := obs.NewCPIStack()
 	cpi.Core(0)
 	cpi.CloseEpoch(100, []obs.Tolerance{{Core: 0, ReadyWarps: 4, MRQFree: 6, OldestFillAge: 17}}, nil)
 	d.RunLive("live", cpi, nil)
@@ -342,7 +342,7 @@ func TestDebugServerSetSnapshotKeep(t *testing.T) {
 func TestDebugServerNilSafe(t *testing.T) {
 	var d *DebugServer
 	d.RunStarted("x")
-	d.RunLive("x", obs.NewCPIStack(0), nil)
+	d.RunLive("x", obs.NewCPIStack(), nil)
 	d.RunFinished("x", nil, nil)
 	d.SetSnapshotKeep(5)
 	if d.Addr() != "" {
@@ -367,7 +367,7 @@ func TestDebugServerClosedHooksInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.RunStarted("late")
-	d.RunLive("late", obs.NewCPIStack(100), nil)
+	d.RunLive("late", obs.NewCPIStack(), nil)
 	d.RunCached("late")
 	d.RunFinished("late", []obs.SnapshotEntry{{Name: "x", Component: "c"}}, nil)
 	d.RunFinished("early", nil, errors.New("double-report"))
@@ -523,6 +523,22 @@ func TestDebugServerSpans(t *testing.T) {
 
 	d.RunStarted("plain")
 	d.RunStarted("live")
+	d.RunLive("live", nil, filledSpanSet(t))
+
+	body := get(t, base+"/spans")
+	if strings.Contains(body, "plain") {
+		t.Errorf("/spans lists a run without span tracing:\n%s", body)
+	}
+	for _, want := range []string{"live (running): 1/1 spans finished", "dramsvc%", "none"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/spans missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// filledSpanSet returns a span set holding one finished fill span.
+func filledSpanSet(t *testing.T) *obs.SpanSet {
+	t.Helper()
 	ss := obs.NewSpanSet(1) // sample everything
 	r := &memreq.Request{CoreID: 2, WarpID: 5}
 	ss.Start(r, 0, 100)
@@ -541,15 +557,39 @@ func TestDebugServerSpans(t *testing.T) {
 	r.StampSpan(memreq.SpanNoCRespDeliver, 210)
 	r.StampSpan(memreq.SpanFill, 210)
 	ss.Finish(r, 210, memreq.TermFill)
-	d.RunLive("live", nil, ss)
+	return ss
+}
 
-	body := get(t, base+"/spans")
-	if strings.Contains(body, "plain") {
-		t.Errorf("/spans lists a run without span tracing:\n%s", body)
+// TestDebugServerFinishedRunDropsLiveState: once a run finishes, the
+// server holds neither its span set nor its CPI stack, and /spans and
+// /tolerance still print what they printed for it while it ran.
+func TestDebugServerFinishedRunDropsLiveState(t *testing.T) {
+	d, err := NewDebugServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{"live (running): 1/1 spans finished", "dramsvc%", "none"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/spans missing %q:\n%s", want, body)
-		}
+	defer d.Close()
+	base := "http://" + d.Addr()
+
+	d.RunStarted("live")
+	cpi := obs.NewCPIStack()
+	cpi.Core(0)
+	cpi.CloseEpoch(100, []obs.Tolerance{{Core: 0, ReadyWarps: 4, OldestFillAge: 17}}, nil)
+	d.RunLive("live", cpi, filledSpanSet(t))
+	running := get(t, base+"/spans")
+	runningTol := get(t, base+"/tolerance")
+	d.RunFinished("live", nil, nil)
+
+	d.mu.Lock()
+	st := d.runs["live"]
+	if st.spans != nil || st.cpi != nil {
+		t.Errorf("finished run still holds its live state: spans %v, cpi %v", st.spans != nil, st.cpi != nil)
+	}
+	d.mu.Unlock()
+	if got, want := get(t, base+"/spans"), strings.Replace(running, "(running)", "(done)", 1); got != want {
+		t.Errorf("/spans after finish:\n%s\nwant:\n%s", got, want)
+	}
+	if got, want := get(t, base+"/tolerance"), strings.Replace(runningTol, `"running"`, `"done"`, 1); got != want {
+		t.Errorf("/tolerance after finish:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -114,9 +114,9 @@ func TestStoreResumeByteIdentical(t *testing.T) {
 
 // TestStoreReplaysOnlyMatchingSettings: a stored run's stream artifacts
 // were shaped by the observer settings of the sweep that committed
-// them — the sample period (metrics and CPI epochs) and the span
-// divisor. A sweep at other settings must simulate and write what a
-// storeless run writes, not replay the stored records.
+// them — the sample period (metrics) and the span divisor. A sweep at
+// other settings must simulate and write what a storeless run writes,
+// not replay the stored records.
 func TestStoreReplaysOnlyMatchingSettings(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {

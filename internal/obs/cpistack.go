@@ -59,10 +59,6 @@ func (b Bucket) String() string {
 	return fmt.Sprintf("Bucket(%d)", uint8(b))
 }
 
-// DefaultCPIEpoch is the CPI-stack epoch length when the configuration
-// leaves it unset.
-const DefaultCPIEpoch = 10_000
-
 // CoreCPI is one core's bucket counters. The core holds a pointer and
 // increments Buckets directly on its issue path, so attribution is one
 // nil check plus one add per cycle.
@@ -93,43 +89,23 @@ type Tolerance struct {
 	OldestFillAge  uint64 `json:"oldest_fill_age"` // cycles the oldest in-flight fill has waited
 }
 
-// Epoch is one closed CPI-stack epoch: the machine-wide bucket deltas
-// over the epoch and the per-core tolerance snapshots taken at its
-// closing cycle.
-type Epoch struct {
-	Cycle   uint64
-	Buckets [NumBuckets]uint64
-	Tol     []Tolerance
-}
-
 // CPIStack aggregates per-core cycle accounting for one run: lifetime
-// per-core bucket counters, an epoch time series of machine-wide bucket
-// deltas plus tolerance snapshots, and a mutex-guarded latest snapshot
-// the harness debug server reads live. A nil *CPIStack accepts every
+// per-core bucket counters, plus what each epoch close publishes — the
+// per-core bucket deltas as trace counters and a mutex-guarded latest
+// tolerance snapshot the harness debug server reads live. The run's
+// epoch sampler sets when epochs close. A nil *CPIStack accepts every
 // call and does nothing, like every obs component.
 type CPIStack struct {
-	every     uint64
-	next      uint64
-	prevCycle uint64
-
 	cores    []*CoreCPI
 	prevCore [][NumBuckets]uint64 // per-core totals at the last epoch close
-	epochs   []Epoch
-	tolStore []Tolerance // arena the epochs' Tol views are carved from
 
 	mu        sync.Mutex
 	latest    []Tolerance
 	latestCyc uint64
 }
 
-// NewCPIStack builds a CPI stack with the given epoch length (0 selects
-// DefaultCPIEpoch).
-func NewCPIStack(every uint64) *CPIStack {
-	if every == 0 {
-		every = DefaultCPIEpoch
-	}
-	return &CPIStack{every: every, next: every}
-}
+// NewCPIStack builds an empty CPI stack.
+func NewCPIStack() *CPIStack { return &CPIStack{} }
 
 // Core returns core id's bucket counters, growing the table as needed;
 // nil receivers return nil (which in turn disables attribution in the
@@ -153,82 +129,26 @@ func (p *CPIStack) NumCores() int {
 	return len(p.cores)
 }
 
-// NextTick reports the cycle of the next epoch boundary (the maximum
-// uint64 for a nil stack), so the event-driven simulation loop can skip
-// idle spans without missing an epoch close.
-func (p *CPIStack) NextTick() uint64 {
-	if p == nil {
-		return ^uint64(0)
-	}
-	return p.next
-}
-
-// CloseEpoch closes the epoch ending at cycle: it records the per-core
-// bucket deltas since the previous close (machine-wide in the epoch
-// series, per-core as Chrome counter events into tr when tracing), and
-// publishes tol as the latest tolerance snapshot. The tol slice is
-// copied, so callers may reuse their buffer.
+// CloseEpoch closes the epoch ending at cycle: it emits each core's
+// bucket deltas since the previous close as Chrome counter events into
+// tr (when tracing), and publishes a copy of tol as the latest
+// tolerance snapshot, so callers may reuse their buffer.
 func (p *CPIStack) CloseEpoch(cycle uint64, tol []Tolerance, tr *Tracer) {
 	if p == nil {
 		return
 	}
-	// Carve the epoch's tolerance copy from a shared arena with a
-	// full-slice expression: later arena growth either reallocates
-	// (earlier epochs keep their old backing arrays) or appends past this
-	// view's capacity, so the view stays immutable and steady-state epoch
-	// closes stop allocating per call.
-	start := len(p.tolStore)
-	p.tolStore = append(p.tolStore, tol...)
-	e := Epoch{Cycle: cycle, Tol: p.tolStore[start:len(p.tolStore):len(p.tolStore)]}
-	for i, c := range p.cores {
-		for b := 0; b < int(NumBuckets); b++ {
-			d := c.Buckets[b] - p.prevCore[i][b]
-			e.Buckets[b] += d
-			if tr != nil {
-				tr.Emit(EvCPIBucket, cycle, i, d, int64(b))
+	if tr != nil {
+		for i, c := range p.cores {
+			for b := range NumBuckets {
+				tr.Emit(EvCPIBucket, cycle, i, c.Buckets[b]-p.prevCore[i][b], int64(b))
 			}
+			p.prevCore[i] = c.Buckets
 		}
-		p.prevCore[i] = c.Buckets
 	}
-	p.epochs = append(p.epochs, e)
-	p.next = cycle + p.every
-	p.prevCycle = cycle
-
 	p.mu.Lock()
-	p.latest = e.Tol
+	p.latest = append(p.latest[:0], tol...)
 	p.latestCyc = cycle
 	p.mu.Unlock()
-}
-
-// Finish closes the final partial epoch (if it saw any cycles) so short
-// runs still produce at least one epoch record.
-func (p *CPIStack) Finish(cycle uint64, tol []Tolerance, tr *Tracer) {
-	if p == nil || cycle <= p.prevCycle {
-		return
-	}
-	p.CloseEpoch(cycle, tol, tr)
-}
-
-// Epochs returns the closed epochs in order.
-func (p *CPIStack) Epochs() []Epoch {
-	if p == nil {
-		return nil
-	}
-	return p.epochs
-}
-
-// Totals sums the buckets across all cores.
-func (p *CPIStack) Totals() [NumBuckets]uint64 {
-	var t [NumBuckets]uint64
-	if p == nil {
-		return t
-	}
-	for _, c := range p.cores {
-		for b, v := range c.Buckets {
-			t[b] += v
-		}
-	}
-	return t
 }
 
 // Tolerances returns the latest published tolerance snapshot and the
@@ -297,23 +217,6 @@ func (c CPIBuckets) Array() [NumBuckets]uint64 {
 	return b
 }
 
-// cpiEpochRec is the JSONL schema of one epoch's machine-wide deltas.
-type cpiEpochRec struct {
-	Record string `json:"record"`
-	Run    string `json:"run,omitempty"`
-	Cycle  uint64 `json:"cycle"`
-	CPIBuckets
-}
-
-// cpiTolRec is the JSONL schema of one core's tolerance snapshot at an
-// epoch close.
-type cpiTolRec struct {
-	Record string `json:"record"`
-	Run    string `json:"run,omitempty"`
-	Cycle  uint64 `json:"cycle"`
-	Tolerance
-}
-
 // CPICoreRecord is the JSONL schema of one core's lifetime CPI stack,
 // the "cpistack" line.
 type CPICoreRecord struct {
@@ -324,44 +227,18 @@ type CPICoreRecord struct {
 	CPIBuckets
 }
 
-// cpiSummary is the per-run trailer with machine-wide totals.
-type cpiSummary struct {
-	Record string `json:"record"`
-	Run    string `json:"run,omitempty"`
-	Cores  int    `json:"cores"`
-	Cycles uint64 `json:"cycles"`
-	CPIBuckets
-}
-
-// WriteJSONL emits the epoch time series ("cpiepoch" lines with their
-// per-core "cpitol" tolerance snapshots), one "cpistack" line per core,
-// and a "cpisummary" trailer, all tagged with the run key.
+// WriteJSONL emits one "cpistack" line per core, tagged with the run
+// key.
 func (p *CPIStack) WriteJSONL(w io.Writer, run string) error {
 	if p == nil {
 		return nil
 	}
 	enc := json.NewEncoder(w)
-	for _, e := range p.epochs {
-		if err := enc.Encode(cpiEpochRec{Record: "cpiepoch", Run: run,
-			Cycle: e.Cycle, CPIBuckets: toBuckets(e.Buckets)}); err != nil {
-			return err
-		}
-		for _, t := range e.Tol {
-			if err := enc.Encode(cpiTolRec{Record: "cpitol", Run: run,
-				Cycle: e.Cycle, Tolerance: t}); err != nil {
-				return err
-			}
-		}
-	}
-	sum := cpiSummary{Record: "cpisummary", Run: run, Cores: len(p.cores)}
 	for i, c := range p.cores {
-		cyc := c.Cycles()
 		if err := enc.Encode(CPICoreRecord{Record: "cpistack", Run: run, Core: i,
-			Cycles: cyc, CPIBuckets: toBuckets(c.Buckets)}); err != nil {
+			Cycles: c.Cycles(), CPIBuckets: toBuckets(c.Buckets)}); err != nil {
 			return err
 		}
-		sum.Cycles += cyc
 	}
-	sum.CPIBuckets = toBuckets(p.Totals())
-	return enc.Encode(sum)
+	return nil
 }

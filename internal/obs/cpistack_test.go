@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -21,17 +20,7 @@ func TestCPIStackNilSafe(t *testing.T) {
 	if p.NumCores() != 0 {
 		t.Error("nil stack reports cores")
 	}
-	if p.NextTick() != ^uint64(0) {
-		t.Error("nil stack schedules an epoch tick")
-	}
 	p.CloseEpoch(100, nil, nil)
-	p.Finish(200, nil, nil)
-	if p.Epochs() != nil {
-		t.Error("nil stack has epochs")
-	}
-	if p.Totals() != ([NumBuckets]uint64{}) {
-		t.Error("nil stack has totals")
-	}
 	if cyc, tol := p.Tolerances(); cyc != 0 || tol != nil {
 		t.Error("nil stack has tolerance snapshots")
 	}
@@ -70,38 +59,44 @@ func fill(p *CPIStack, id int, counts map[Bucket]uint64) {
 	}
 }
 
+// TestCPIStackEpochDeltas: each epoch close emits, per core and per
+// bucket, only the cycles attributed since the previous close, and the
+// latest tolerance snapshot tracks the most recent close.
 func TestCPIStackEpochDeltas(t *testing.T) {
-	p := NewCPIStack(1000)
-	if p.NextTick() != 1000 {
-		t.Fatalf("first tick at %d, want 1000", p.NextTick())
-	}
+	tr := NewTracer(128)
+	p := NewCPIStack()
 	fill(p, 0, map[Bucket]uint64{BucketIssued: 600, BucketScoreboard: 400})
 	fill(p, 1, map[Bucket]uint64{BucketIssued: 1000})
-	p.CloseEpoch(999, []Tolerance{{Core: 0, ReadyWarps: 3}}, nil)
-	if p.NextTick() != 1999 {
-		t.Errorf("next tick at %d, want 1999", p.NextTick())
-	}
-	// Second epoch: only the deltas since the first close may appear.
+	p.CloseEpoch(999, []Tolerance{{Core: 0, ReadyWarps: 3}}, tr)
 	fill(p, 0, map[Bucket]uint64{BucketMRQFull: 1000})
 	fill(p, 1, map[Bucket]uint64{BucketIssued: 250, BucketDrain: 750})
-	p.CloseEpoch(1999, []Tolerance{{Core: 0, ReadyWarps: 1}}, nil)
+	p.CloseEpoch(1999, []Tolerance{{Core: 0, ReadyWarps: 1}}, tr)
 
-	es := p.Epochs()
-	if len(es) != 2 {
-		t.Fatalf("got %d epochs, want 2", len(es))
+	got := map[uint64][2][NumBuckets]uint64{}
+	for _, e := range tr.Events() {
+		if e.Kind != EvCPIBucket {
+			t.Fatalf("unexpected event %v", e.Kind)
+		}
+		d := got[e.Cycle]
+		d[e.Track][e.Arg2] = e.Arg
+		got[e.Cycle] = d
 	}
-	want0 := [NumBuckets]uint64{BucketIssued: 1600, BucketScoreboard: 400}
-	if es[0].Buckets != want0 {
-		t.Errorf("epoch 0 deltas = %v, want %v", es[0].Buckets, want0)
+	want := map[uint64][2][NumBuckets]uint64{
+		999: {
+			{BucketIssued: 600, BucketScoreboard: 400},
+			{BucketIssued: 1000},
+		},
+		1999: {
+			{BucketMRQFull: 1000},
+			{BucketIssued: 250, BucketDrain: 750},
+		},
 	}
-	want1 := [NumBuckets]uint64{BucketIssued: 250, BucketMRQFull: 1000, BucketDrain: 750}
-	if es[1].Buckets != want1 {
-		t.Errorf("epoch 1 deltas = %v, want %v", es[1].Buckets, want1)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("per-epoch counter deltas = %v, want %v", got, want)
 	}
-	if es[1].Cycle != 1999 || es[1].Tol[0].ReadyWarps != 1 {
-		t.Errorf("epoch 1 snapshot wrong: %+v", es[1])
+	if n := tr.Count(); n != 2*2*int(NumBuckets) {
+		t.Errorf("%d counter events, want one per bucket per core per epoch", n)
 	}
-	// The latest tolerance snapshot tracks the most recent close.
 	cyc, tol := p.Tolerances()
 	if cyc != 1999 || len(tol) != 1 || tol[0].ReadyWarps != 1 {
 		t.Errorf("Tolerances() = %d %+v", cyc, tol)
@@ -109,13 +104,10 @@ func TestCPIStackEpochDeltas(t *testing.T) {
 }
 
 func TestCPIStackCloseEpochCopiesTol(t *testing.T) {
-	p := NewCPIStack(100)
+	p := NewCPIStack()
 	buf := []Tolerance{{Core: 0, ReadyWarps: 7}}
 	p.CloseEpoch(100, buf, nil)
 	buf[0].ReadyWarps = 99 // simulator reuses its scratch buffer
-	if p.Epochs()[0].Tol[0].ReadyWarps != 7 {
-		t.Error("CloseEpoch aliased the caller's tolerance buffer")
-	}
 	_, tol := p.Tolerances()
 	if tol[0].ReadyWarps != 7 {
 		t.Error("published snapshot aliased the caller's buffer")
@@ -126,22 +118,8 @@ func TestCPIStackCloseEpochCopiesTol(t *testing.T) {
 	}
 }
 
-func TestCPIStackFinishClosesPartialEpoch(t *testing.T) {
-	p := NewCPIStack(1000)
-	fill(p, 0, map[Bucket]uint64{BucketIssued: 500})
-	p.Finish(499, nil, nil)
-	if len(p.Epochs()) != 1 {
-		t.Fatalf("partial epoch not closed: %d epochs", len(p.Epochs()))
-	}
-	// A second Finish at the same cycle must not duplicate the epoch.
-	p.Finish(499, nil, nil)
-	if len(p.Epochs()) != 1 {
-		t.Error("Finish at the same cycle closed a second epoch")
-	}
-}
-
 func TestCPIStackConservation(t *testing.T) {
-	p := NewCPIStack(0)
+	p := NewCPIStack()
 	fill(p, 0, map[Bucket]uint64{BucketIssued: 60, BucketScoreboard: 40})
 	fill(p, 1, map[Bucket]uint64{BucketIdle: 100})
 	if err := p.CheckConservation(99, 100); err != nil {
@@ -161,8 +139,10 @@ func TestCPIStackConservation(t *testing.T) {
 	}
 }
 
+// TestCPIStackWriteJSONL: the stream holds one "cpistack" line per core
+// with its lifetime buckets, whatever the epochs published.
 func TestCPIStackWriteJSONL(t *testing.T) {
-	p := NewCPIStack(1000)
+	p := NewCPIStack()
 	fill(p, 0, map[Bucket]uint64{BucketIssued: 600, BucketMRQFull: 400})
 	fill(p, 1, map[Bucket]uint64{BucketScoreboard: 1000})
 	p.CloseEpoch(999, []Tolerance{{Core: 0, ReadyWarps: 2, MRQFree: 6, OldestFillAge: 40}}, nil)
@@ -171,46 +151,27 @@ func TestCPIStackWriteJSONL(t *testing.T) {
 	if err := p.WriteJSONL(&buf, "runkey"); err != nil {
 		t.Fatal(err)
 	}
-	counts := map[string]int{}
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var rec map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("invalid JSONL line %q: %v", sc.Text(), err)
+	var got []CPICoreRecord
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var rec CPICoreRecord
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
 		}
-		kind, _ := rec["record"].(string)
-		counts[kind]++
-		if rec["run"] != "runkey" {
-			t.Errorf("%s line missing run key: %v", kind, rec)
-		}
-		switch kind {
-		case "cpiepoch":
-			if rec["issued"] != float64(600) || rec["scoreboard"] != float64(1000) {
-				t.Errorf("epoch deltas wrong: %v", rec)
-			}
-		case "cpitol":
-			if rec["ready_warps"] != float64(2) || rec["oldest_fill_age"] != float64(40) {
-				t.Errorf("tolerance snapshot wrong: %v", rec)
-			}
-		case "cpistack":
-			if rec["core"] == float64(0) && rec["mrq_full"] != float64(400) {
-				t.Errorf("core 0 stack wrong: %v", rec)
-			}
-		case "cpisummary":
-			if rec["cores"] != float64(2) || rec["cycles"] != float64(2000) {
-				t.Errorf("summary wrong: %v", rec)
-			}
-		}
+		got = append(got, rec)
 	}
-	want := map[string]int{"cpiepoch": 1, "cpitol": 1, "cpistack": 2, "cpisummary": 1}
-	if !reflect.DeepEqual(counts, want) {
-		t.Errorf("record counts = %v, want %v", counts, want)
+	want := []CPICoreRecord{
+		{Record: "cpistack", Run: "runkey", Core: 0, Cycles: 1000, CPIBuckets: CPIBuckets{Issued: 600, MRQFull: 400}},
+		{Record: "cpistack", Run: "runkey", Core: 1, Cycles: 1000, CPIBuckets: CPIBuckets{Scoreboard: 1000}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("records = %+v, want %+v", got, want)
 	}
 }
 
 func TestCPIStackEmitsCounterEvents(t *testing.T) {
 	tr := NewTracer(128)
-	p := NewCPIStack(100)
+	p := NewCPIStack()
 	fill(p, 0, map[Bucket]uint64{BucketIssued: 90, BucketScoreboard: 10})
 	p.CloseEpoch(100, nil, tr)
 	var buf bytes.Buffer
@@ -231,42 +192,43 @@ func TestObserverConfigCPIStack(t *testing.T) {
 	if o := New(Config{}); o.CPI != nil {
 		t.Error("CPI stack built without being requested")
 	}
-	o := New(Config{CPIStack: true, CPIEpoch: 777})
-	if o.CPI == nil {
+	if o := New(Config{CPIStack: true}); o.CPI == nil {
 		t.Fatal("CPIStack config did not build a stack")
-	}
-	if o.CPI.NextTick() != 777 {
-		t.Errorf("configured epoch not honoured: first tick at %d", o.CPI.NextTick())
-	}
-	// Epoch defaults to the sampler cadence when unset.
-	o = New(Config{CPIStack: true, SampleEvery: 512})
-	if o.CPI.NextTick() != 512 {
-		t.Errorf("epoch did not default to SampleEvery: %d", o.CPI.NextTick())
 	}
 }
 
-// TestSinkCPIEpochFollowsSampleEvery: the sample period sets the CPI
-// epochs whether or not the sink writes metrics; without a metrics
-// writer the sink builds no sampler.
-func TestSinkCPIEpochFollowsSampleEvery(t *testing.T) {
-	for _, withMetrics := range []bool{false, true} {
-		var metrics, cpis bytes.Buffer
-		var mw io.Writer
-		if withMetrics {
+// TestSinkSamplerClocksCPIStack: the sampler is the CPI stack's epoch
+// clock, so a sink builds one at the sample period whenever it writes
+// metrics or CPI stacks, and none for the other streams.
+func TestSinkSamplerClocksCPIStack(t *testing.T) {
+	for _, c := range []struct {
+		name              string
+		metrics, cpiStack bool
+	}{
+		{"metrics", true, false},
+		{"cpistack", false, true},
+		{"both", true, true},
+		{"neither", false, false},
+	} {
+		var metrics, cpis, pf bytes.Buffer
+		var mw, cw io.Writer
+		if c.metrics {
 			mw = &metrics
 		}
-		sink, err := NewSink(mw, nil, nil, &cpis, nil, Config{SampleEvery: 1000})
+		if c.cpiStack {
+			cw = &cpis
+		}
+		sink, err := NewSink(mw, nil, &pf, cw, nil, Config{SampleEvery: 1000})
 		if err != nil {
 			t.Fatal(err)
 		}
 		o := sink.Observer()
-		if (o.Sampler != nil) != withMetrics {
-			t.Errorf("metrics %v: sampler built = %v", withMetrics, o.Sampler != nil)
+		want := c.metrics || c.cpiStack
+		if (o.Sampler != nil) != want {
+			t.Errorf("%s: sampler built = %v, want %v", c.name, o.Sampler != nil, want)
 		}
-		o.CPI.Core(0)
-		o.CPI.CloseEpoch(o.CPI.NextTick(), nil, nil)
-		if got := o.CPI.NextTick(); got != 2000 {
-			t.Errorf("metrics %v: second CPI epoch closes at cycle %d, want 2000", withMetrics, got)
+		if want && o.Sampler.NextTick() != 1000 {
+			t.Errorf("%s: first epoch closes at cycle %d, want 1000", c.name, o.Sampler.NextTick())
 		}
 	}
 }

@@ -10,7 +10,8 @@
 //   - an epoch Sampler that snapshots derived time series (IPC, MPKI,
 //     prefetch accuracy/coverage, merge ratio, early-eviction rate,
 //     throttle degree, DRAM row-hit rate, MSHR occupancy, ...) every N
-//     cycles and exports them as JSONL.
+//     cycles and exports them as JSONL "epoch" records. It is the run's
+//     only epoch clock: the CPI stack closes its epochs on its ticks.
 //   - a structured event Tracer: a fixed-capacity ring of simulation
 //     events (prefetch issued/dropped, throttle transitions, early
 //     evictions, stride promotions) exported as Chrome trace-event JSON
@@ -18,16 +19,17 @@
 //   - a PFReport: per-(source, PC) prefetch provenance and lifecycle
 //     outcomes, with conservation checks (pfreport.go).
 //   - a CPIStack: per-core cycle accounting in which every core-cycle
-//     lands in exactly one loss bucket, with an epoch time series and
-//     latency-tolerance snapshots (cpistack.go).
+//     lands in exactly one loss bucket. Each epoch close emits the
+//     per-core bucket deltas as trace counters and publishes a
+//     latency-tolerance snapshot (cpistack.go).
 //   - a SpanSet: a deterministic sample of memory requests stamped at
 //     every stage of their lifecycle, aggregated into per-stage latency
 //     histograms (span.go).
 //
 // A Sink (sink.go) fans many runs' observers into shared output files:
-// the four JSONL streams (metrics, pfreport, cpistack, spans) and one
-// Chrome trace, and returns each run's rendered streams for the result
-// store.
+// the four JSONL streams (metrics, pfreport, cpistack, spans), whose
+// every line carries a record kind and the run key, and one Chrome
+// trace, and returns each run's rendered streams for the result store.
 //
 // Everything is nil-safe: a nil *Registry, *Sampler, *Tracer, *PFReport,
 // *CPIStack, *SpanSet, or *Sink accepts every call and does nothing, so
@@ -38,7 +40,8 @@ package obs
 // Config selects which observability pieces a run gets.
 type Config struct {
 	// SampleEvery is the epoch length in cycles between time-series
-	// samples; 0 disables the sampler.
+	// samples; 0 disables the sampler. The sampler is the run's epoch
+	// clock, so it also sets when the CPI stack closes its epochs.
 	SampleEvery uint64
 	// TraceCapacity is the event ring size; 0 disables tracing.
 	// DefaultTraceCapacity is a reasonable value.
@@ -47,14 +50,11 @@ type Config struct {
 	// (per-source/per-PC outcome accounting).
 	PFReport bool
 	// CPIStack enables per-core cycle accounting: every core-cycle is
-	// attributed to exactly one CPI-stack bucket, with an epoch time
-	// series and latency-tolerance snapshots (cpistack.go).
+	// attributed to exactly one CPI-stack bucket (cpistack.go). On each
+	// sampler tick the stack emits its per-core trace counters and
+	// publishes a latency-tolerance snapshot; without a sampler it
+	// keeps only the lifetime buckets.
 	CPIStack bool
-	// CPIEpoch is the CPI-stack epoch length in cycles; 0 inherits
-	// SampleEvery, and DefaultCPIEpoch when that is 0 too. A Sink
-	// resolves it before it turns the sampler off for want of a metrics
-	// writer, so SampleEvery sets the epochs with or without metrics.
-	CPIEpoch uint64
 	// Spans enables request-level span tracing: a deterministic sample
 	// of memory requests carries a lifecycle stamp record, aggregated
 	// into per-(source, stage) latency histograms (span.go).
@@ -95,11 +95,7 @@ func New(cfg Config) *Observer {
 		o.PF = NewPFReport()
 	}
 	if cfg.CPIStack {
-		every := cfg.CPIEpoch
-		if every == 0 {
-			every = cfg.SampleEvery // 0 falls through to DefaultCPIEpoch
-		}
-		o.CPI = NewCPIStack(every)
+		o.CPI = NewCPIStack()
 	}
 	if cfg.Spans {
 		o.Spans = NewSpanSet(cfg.SpanEvery)

@@ -79,7 +79,14 @@ func TestSamplerEpochDeltas(t *testing.T) {
 		instrs += 2 // perfectly steady 2 IPC
 		s.Tick(cycles)
 	}
-	s.Finish(cycles)
+	if !s.Finish(cycles) {
+		t.Error("Finish did not report closing the final partial epoch")
+	}
+	// A second Finish at the same cycle closes nothing, so the CPI stack
+	// that closes on the sampler's clock does not close twice either.
+	if s.Finish(cycles) {
+		t.Error("Finish at the same cycle reported a second epoch")
+	}
 	pts := s.Points()
 	if len(pts) != 3 {
 		t.Fatalf("points = %d, want 3 (two epochs + final partial)", len(pts))

@@ -209,9 +209,6 @@ func (p *PFReport) SetDemandTransactions(n uint64) {
 	p.demandTransactions = n
 }
 
-// Enabled reports whether attribution is active.
-func (p *PFReport) Enabled() bool { return p != nil }
-
 // keys returns the buckets sorted by (source, PC) for deterministic
 // output.
 func (p *PFReport) keys() []PFKey {

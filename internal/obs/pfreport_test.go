@@ -86,9 +86,6 @@ func TestPFReportNilSafe(t *testing.T) {
 	p.SetDemandTransactions(5)
 	p.AddDemandTransactions(5)
 	p.Add(PFKey{}, PFCounts{Generated: 1})
-	if p.Enabled() {
-		t.Error("nil report claims enabled")
-	}
 	if err := p.CheckConservation(0); err != nil {
 		t.Errorf("nil report conservation = %v", err)
 	}

@@ -158,13 +158,14 @@ func (s *Sampler) NextTick() uint64 {
 }
 
 // Finish closes the final partial epoch (if it saw any cycles) so short
-// runs still produce at least one sample.
-func (s *Sampler) Finish(cycle uint64) {
+// runs still produce at least one sample, and reports whether it did.
+func (s *Sampler) Finish(cycle uint64) bool {
 	if s == nil || cycle <= s.prevCycle {
-		return
+		return false
 	}
 	s.sample(cycle)
 	s.next = cycle + s.every
+	return true
 }
 
 func (s *Sampler) sample(cycle uint64) {

@@ -11,19 +11,20 @@ import (
 // jsonlStreams lists the per-run JSONL streams in output order: each
 // one's name, the setting that shapes its bytes (nil when none does),
 // and how it renders a finished run's observer into w (ok is false when
-// the observer kept no record of the stream).
+// the observer kept no record of the stream). Every line of every
+// stream carries a "record" kind and the "run" key.
 var jsonlStreams = [...]struct {
 	name    string
 	setting func(c *Config) uint64
 	render  func(o *Observer, w io.Writer, runKey string) (ok bool, err error)
 }{
 	{"metrics", func(c *Config) uint64 { return c.SampleEvery }, func(o *Observer, w io.Writer, runKey string) (bool, error) {
-		return o.Sampler != nil, o.Sampler.WriteJSONL(w, map[string]string{"run": runKey})
+		return o.Sampler != nil, o.Sampler.WriteJSONL(w, map[string]string{"record": "epoch", "run": runKey})
 	}},
 	{"pfreport", nil, func(o *Observer, w io.Writer, runKey string) (bool, error) {
 		return o.PF != nil, o.PF.WriteJSONL(w, runKey)
 	}},
-	{"cpistack", func(c *Config) uint64 { return c.CPIEpoch }, func(o *Observer, w io.Writer, runKey string) (bool, error) {
+	{"cpistack", nil, func(o *Observer, w io.Writer, runKey string) (bool, error) {
 		return o.CPI != nil, o.CPI.WriteJSONL(w, runKey)
 	}},
 	{"spans", func(c *Config) uint64 { return c.SpanEvery }, func(o *Observer, w io.Writer, runKey string) (bool, error) {
@@ -67,14 +68,6 @@ func NewSink(metrics, trace, pfreport, cpistack, spans io.Writer, cfg Config) (*
 		return nil, nil
 	}
 	s := &Sink{cfg: cfg, jsonl: [...]io.Writer{metrics, pfreport, cpistack, spans}, done: make(map[string]bool)}
-	// Resolve the defaults before the sampler may be dropped: the sample
-	// period sets the CPI epochs whether or not metrics are written.
-	if s.cfg.CPIEpoch == 0 {
-		s.cfg.CPIEpoch = s.cfg.SampleEvery
-	}
-	if s.cfg.CPIEpoch == 0 {
-		s.cfg.CPIEpoch = DefaultCPIEpoch
-	}
 	if s.cfg.SpanEvery == 0 {
 		s.cfg.SpanEvery = DefaultSpanEvery
 	}
@@ -86,7 +79,9 @@ func NewSink(metrics, trace, pfreport, cpistack, spans io.Writer, cfg Config) (*
 			s.names[i] += "@" + strconv.FormatUint(st.setting(&s.cfg), 10)
 		}
 	}
-	if metrics == nil {
+	// The sampler is the epoch clock the CPI stack closes its epochs on,
+	// so it stays whenever either stream is on.
+	if metrics == nil && cpistack == nil {
 		s.cfg.SampleEvery = 0
 	}
 	if trace != nil {

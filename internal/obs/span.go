@@ -214,9 +214,6 @@ func NewSpanSet(every uint64) *SpanSet {
 	return &SpanSet{every: every}
 }
 
-// Enabled reports whether span tracing is active.
-func (ss *SpanSet) Enabled() bool { return ss != nil }
-
 // Start runs the sampling decision for a just-created request and, when
 // selected, attaches a span stamped at SpanIssue. seq is the core-local
 // candidate sequence number (every demand and prefetch request the core
@@ -450,30 +447,7 @@ func (r *SpanRecord) Stages() [NumSpanStages]uint64 {
 	return [NumSpanStages]uint64{r.MRQ, r.NoCReq, r.DRAMQueue, r.DRAMService, r.NoCResp}
 }
 
-// spanSummary is the JSONL schema of the per-source trailer: terminal
-// counts, stage cycle sums (the waterfall numerators), and end-to-end
-// percentiles.
-type spanSummary struct {
-	Record      string  `json:"record"`
-	Run         string  `json:"run,omitempty"`
-	Source      string  `json:"source"`
-	Fills       uint64  `json:"fills"`
-	MRQMerged   uint64  `json:"mrq_merged"`
-	MRQRejected uint64  `json:"mrq_rejected"`
-	Dropped     uint64  `json:"dropped"`
-	MRQ         uint64  `json:"mrq"`
-	NoCReq      uint64  `json:"noc_req"`
-	DRAMQueue   uint64  `json:"dram_queue"`
-	DRAMService uint64  `json:"dram_service"`
-	NoCResp     uint64  `json:"noc_resp"`
-	Total       uint64  `json:"total"`
-	P50         float64 `json:"p50"`
-	P95         float64 `json:"p95"`
-	P99         float64 `json:"p99"`
-}
-
-// WriteJSONL emits one "span" line per finished span, sorted by id,
-// then one "spansummary" trailer per source that saw any terminal, all
+// WriteJSONL emits one "span" line per finished span, sorted by id and
 // tagged with the run key.
 func (ss *SpanSet) WriteJSONL(w io.Writer, run string) error {
 	if ss == nil {
@@ -499,33 +473,6 @@ func (ss *SpanSet) WriteJSONL(w io.Writer, run string) error {
 			Row:         rec.row(),
 		}
 		if err := enc.Encode(out); err != nil {
-			return err
-		}
-	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	for s := memreq.Source(0); s < memreq.NumSources; s++ {
-		r := &ss.rows[s]
-		if r.terminals() == 0 {
-			continue
-		}
-		sum := spanSummary{
-			Record: "spansummary", Run: run, Source: s.String(),
-			Fills:       r.terms[memreq.TermFill],
-			MRQMerged:   r.terms[memreq.TermMRQMerged],
-			MRQRejected: r.terms[memreq.TermMRQRejected],
-			Dropped:     r.terms[memreq.TermDropped],
-			MRQ:         r.stage[StageMRQ],
-			NoCReq:      r.stage[StageNoCReq],
-			DRAMQueue:   r.stage[StageDRAMQueue],
-			DRAMService: r.stage[StageDRAMService],
-			NoCResp:     r.stage[StageNoCResp],
-			Total:       r.total.Sum,
-			P50:         r.total.Percentile(50),
-			P95:         r.total.Percentile(95),
-			P99:         r.total.Percentile(99),
-		}
-		if err := enc.Encode(sum); err != nil {
 			return err
 		}
 	}

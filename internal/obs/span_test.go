@@ -140,10 +140,13 @@ func TestSpanFillRoundTrip(t *testing.T) {
 	}
 	out := buf.String()
 	for _, frag := range []string{`"record":"span"`, `"terminal":"fill"`,
-		`"total":110`, `"dram_service":50`, `"record":"spansummary"`} {
+		`"total":110`, `"dram_service":50`} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("JSONL missing %s:\n%s", frag, out)
 		}
+	}
+	if n := strings.Count(out, "\n"); n != 1 {
+		t.Errorf("JSONL has %d lines, want the one span line:\n%s", n, out)
 	}
 }
 
@@ -254,9 +257,6 @@ func TestSpanConservationLedger(t *testing.T) {
 // must be a no-op, and stamps on unsampled requests must be free.
 func TestSpanNilSafety(t *testing.T) {
 	var ss *SpanSet
-	if ss.Enabled() {
-		t.Error("nil SpanSet reports enabled")
-	}
 	r := &memreq.Request{CoreID: 1, WarpID: 1}
 	ss.Start(r, 0, 0)
 	if r.Span != nil {

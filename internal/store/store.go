@@ -50,10 +50,13 @@ const (
 	// FingerprintVersion is folded into every fingerprint; bumping it
 	// invalidates the whole store when the meaning of a fingerprint
 	// changes (new Options fields that affect results, Result schema
-	// changes). A change to the machine — a config.Config field or a
-	// Table II constant — needs no bump: the serialisation carries both,
-	// so the fingerprints move on their own.
-	FingerprintVersion = 1
+	// changes) or when a stream renders other records than its stored
+	// blobs hold under the same name (version 2: metrics lines carry
+	// "record":"epoch", spans lose their "spansummary" trailers). A
+	// change to the machine — a config.Config field or a Table II
+	// constant — needs no bump: the serialisation carries both, so the
+	// fingerprints move on their own.
+	FingerprintVersion = 2
 
 	// header is the magic leading every entry file.
 	header = "mtpref-store"

@@ -247,7 +247,7 @@ func TestFingerprintStability(t *testing.T) {
 // FingerprintVersion, the baseline machine, or the stream kernel) must
 // update this value.
 func TestFingerprintPinned(t *testing.T) {
-	const want = "e3ced32136e4c013d62f7f04e7c5df565a9bec26dfc2f3b556860e804e3142de"
+	const want = "95ddc48a980d3762d512fcf019c7f673340c162a6e6e8f241780fdd01b04ebd8"
 	if got := mustFingerprint(t, "sw/stream/mt-swp/true", testOptions(t)); got != want {
 		t.Fatalf("fingerprint = %s, want %s: existing store entries would no longer hit", got, want)
 	}

@@ -10,7 +10,9 @@
 # GO names the go command (default go).
 #
 # The full gate runs vet, build, race-enabled tests (including the
-# scaled-down parallel-harness sweep, see harness_test.go, and the
+# scaled-down parallel-harness sweep, see harness_test.go, whose
+# reference diff against results_reference.txt covers Tables II, V and
+# VI under the race detector and every table without it, and the
 # allocation budgets, see alloc_test.go), the fault-injection suite, then
 # 15 s of fuzzing each for the coalescer against its per-lane reference
 # (FuzzTransactions), DRAM retirement against the per-cycle walk
